@@ -4,9 +4,10 @@ from .factors import Factor, FactorGraph, assemble, extract_marginal, optimize_f
 from .fim import fd_kl_hessian, fim, fim_inverse
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, convert, kl, log_pdf, sample
 from .kronmat import SymmetricMatrix, duplication, kron, mat, matf, sym, vec, vech
-from .ngd import NgdConfig, optimize, step_canonical, step_generic, step_hybrid
+from .ngd import NgdConfig, optimize, step_hybrid
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted
-from .vloss import DerivativeBundle, LossFunctional, derivatives, fd_check, value
+from .verify import fd_check, step_canonical, step_generic
+from .vloss import DerivativeBundle, LossFunctional, derivatives, value
 
 __all__ = [
     "Factor",

@@ -1,7 +1,10 @@
-"""Command-line front end: problem ingestion, runs, and verification suites.
+"""Command-line front end: problem ingestion, runs, and the paper checks.
 
-Problem files are versioned JSON (schema tag ``ngvi-problem/1``). A run
-writes three files into the output directory, each atomically
+``ngvi verify`` prints the acceptance criteria defined in ``ngvi.verify``.
+
+Problem files are versioned JSON (schema tag ``ngvi-problem/1``). A
+malformed file raises ProblemError naming the field before any work starts.
+A run writes three files into the output directory, each atomically
 (write-then-rename):
 
 * ``trace.txt``    -- per-iteration rows: iter, value, grad norm, accepted, converged
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -23,9 +27,8 @@ from importlib import resources
 
 import numpy as np
 
-from ._testing import random_gaussian, random_spd, random_symmetric, random_well_conditioned
+from . import verify
 from .factors import Factor, FactorGraph, SparsityError, optimize_factored
-from .fim import PARAM_TAGS, fd_kl_hessian, fim, fim_inverse, reduce_to_unique
 from .gaussian import (
     MeanCovariance,
     MeanPrecision,
@@ -33,10 +36,9 @@ from .gaussian import (
     NotPositiveDefiniteError,
     convert,
 )
-from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec
-from .ngd import ConfigError, IndefiniteHessianError, NgdConfig, natural_delta, step_hybrid
+from .kronmat import AsymmetricMatrixError, SymmetricMatrix, check_symmetric, half_len
+from .ngd import ConfigError, IndefiniteHessianError, NgdConfig
 from .quadrature import EvaluationError, ExpectationRule
-from .vloss import LossFunctional, derivatives, fd_check
 
 __all__ = ["main", "load_problem", "parse_estimate", "build_phi", "ProblemSpec"]
 
@@ -65,21 +67,87 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# typed field access; ``where`` names the field in every error
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemError(f"{where} must be a JSON object, found {type(value).__name__}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:
+        raise ProblemError(f"{where} must be an integer, found {value!r}")
+    return value
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _finite_numbers(value) -> bool:
+    """True for a finite JSON number or nested lists of them (booleans excluded)."""
+    if type(value) is not list:
+        return type(value) in _NUMBER_TYPES and math.isfinite(value)
+    kinds = set(map(type, value))
+    if kinds <= _NUMBER_TYPES:
+        return all(map(math.isfinite, value))
+    return kinds == {list} and all(map(_finite_numbers, value))
+
+
+# ``prefix`` + key + "'" names a field: "factor 'f1': field '" or "field 'config."
+
+
+def _field_problem(fields: dict, key: str, prefix: str, expected: str) -> ProblemError:
+    if key not in fields:
+        return ProblemError(f"{prefix}{key}' is missing")
+    return ProblemError(f"{prefix}{key}' must be {expected}, found {fields[key]!r}")
+
+
+def _array_field(fields: dict, key: str, prefix: str) -> np.ndarray:
+    """``fields[key]`` as floats: a finite number or a rectangular array of them."""
+    value = fields.get(key)
+    try:
+        if _finite_numbers(value):
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged nesting, or an int beyond float range
+        pass
+    raise _field_problem(fields, key, prefix, "a finite number or a rectangular array of them")
+
+
+def _number_field(fields: dict, key: str, prefix: str) -> float:
+    value = fields.get(key)
+    try:
+        if type(value) in _NUMBER_TYPES and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise _field_problem(fields, key, prefix, "a finite number")
+
+
+# ---------------------------------------------------------------------------
 # phi construction
 
 
 def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
-    """Build the scalar loss term of one factor from its serialized form."""
+    """Build the scalar loss term of one factor from its serialized form.
+
+    Every parameter must be present, numeric and finite; a malformed one
+    raises ProblemError naming the factor and the field.
+    """
+    owner = f"factor {factor_id!r}: "
+    prefix = owner + "field '"
     if kind == "gaussian_quadratic":
-        m = np.asarray(params["m"], dtype=float).reshape(-1)
-        p = np.asarray(params["P"], dtype=float)
-        if m.shape[0] != n_indices or p.shape != (n_indices, n_indices):
-            raise ProblemError(
-                f"factor {factor_id!r}: gaussian_quadratic parameters do not "
-                f"match its {n_indices} indices"
-            )
-        if np.max(np.abs(p - p.T)) > 1e-12 * max(1.0, np.max(np.abs(p))):
-            raise ProblemError(f"factor {factor_id!r}: P must be symmetric")
+        m = _array_field(params, "m", prefix).reshape(-1)
+        p = _array_field(params, "P", prefix)
+        if m.shape[0] != n_indices:
+            raise ProblemError(f"{owner}field 'm' must have one entry per index ({n_indices})")
+        if p.shape != (n_indices, n_indices):
+            raise ProblemError(f"{owner}field 'P' must be a {n_indices}x{n_indices} matrix")
+        try:
+            check_symmetric(p)
+        except AsymmetricMatrixError as exc:
+            raise ProblemError(f"{owner}field 'P': {exc}") from None
 
         def phi(u: np.ndarray) -> float:
             d = u - m
@@ -87,15 +155,13 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "logistic_bernoulli":
-        a = np.asarray(params["feature"], dtype=float).reshape(-1)
-        y = int(params["label"])
+        a = _array_field(params, "feature", prefix).reshape(-1)
+        label = _number_field(params, "label", prefix)
+        if label not in (0.0, 1.0):
+            raise ProblemError(f"{owner}field 'label' must be 0 or 1, found {params['label']!r}")
+        y = int(label)
         if a.shape[0] != n_indices:
-            raise ProblemError(
-                f"factor {factor_id!r}: feature length {a.shape[0]} does not "
-                f"match its {n_indices} indices"
-            )
-        if y not in (0, 1):
-            raise ProblemError(f"factor {factor_id!r}: label must be 0 or 1")
+            raise ProblemError(f"{owner}field 'feature' must have one entry per index ({n_indices})")
 
         def phi(u: np.ndarray) -> float:
             t = float(a @ u)
@@ -103,16 +169,17 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "nonlinear_range":
-        distance = float(params["distance"])
-        variance = float(params["variance"])
+        distance = _number_field(params, "distance", prefix)
+        variance = _number_field(params, "variance", prefix)
+        if distance < 0:
+            raise ProblemError(f"{owner}field 'distance' must be nonnegative, found {distance!r}")
         if variance <= 0:
-            raise ProblemError(f"factor {factor_id!r}: variance must be positive")
-        landmark = params.get("landmark")
-        if landmark is not None:
-            point = np.asarray(landmark, dtype=float).reshape(-1)
+            raise ProblemError(f"{owner}field 'variance' must be positive, found {variance!r}")
+        if params.get("landmark") is not None:
+            point = _array_field(params, "landmark", prefix).reshape(-1)
             if point.shape[0] != 2 or n_indices != 2:
                 raise ProblemError(
-                    f"factor {factor_id!r}: fixed-landmark range factors take "
+                    f"{owner}field 'landmark': fixed-landmark range factors take "
                     f"2 indices and a 2-vector landmark"
                 )
 
@@ -123,8 +190,8 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
             return phi
         if n_indices != 4:
             raise ProblemError(
-                f"factor {factor_id!r}: variable-landmark range factors take "
-                f"4 indices (position pair, landmark pair)"
+                f"{owner}field 'landmark' is missing: range factors take 2 indices "
+                f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
 
         def phi(u: np.ndarray) -> float:
@@ -133,15 +200,17 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "polynomial":
-        coeffs = np.asarray(params["coefficients"], dtype=float).reshape(-1)
+        coeffs = _array_field(params, "coefficients", prefix).reshape(-1)
+        if coeffs.shape[0] == 0:
+            raise ProblemError(f"{owner}field 'coefficients' must hold at least one coefficient")
         if n_indices != 1:
-            raise ProblemError(f"factor {factor_id!r}: polynomial factors take 1 index")
+            raise ProblemError(f"{owner}polynomial factors take 1 index")
 
         def phi(u: np.ndarray) -> float:
             return float(np.polynomial.polynomial.polyval(u[0], coeffs))
 
         return phi
-    raise ProblemError(f"factor {factor_id!r}: unknown phi kind {kind!r}")
+    raise ProblemError(f"{owner}field 'kind': unknown phi kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,56 +241,70 @@ def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
 
 
 def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
+    raw = _object(raw, "field '<root>'")
     if raw.get("schema") != SCHEMA:
         raise ProblemError(
             f"field 'schema': expected {SCHEMA!r}, found {raw.get('schema')!r}"
         )
-    try:
-        dimension = int(raw["dimension"])
-    except KeyError:
-        raise ProblemError("field 'dimension' is missing") from None
+    if "dimension" not in raw:
+        raise ProblemError("field 'dimension' is missing")
+    dimension = _integer(raw["dimension"], "field 'dimension'")
     if dimension < 1:
         raise ProblemError("field 'dimension' must be a positive integer")
-    init = _parse_init(raw.get("init", {}), dimension)
+    init = _parse_init(_object(raw.get("init", {}), "field 'init'"), dimension)
 
+    entries = raw.get("factors", [])
+    if not isinstance(entries, list):
+        raise ProblemError(f"field 'factors' must be a JSON array, found {type(entries).__name__}")
     factors = []
-    for entry in raw.get("factors", []):
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
         factor_id = entry.get("id")
         if not factor_id:
             raise ProblemError("every factor needs a nonempty 'id'")
-        indices = [int(i) for i in entry.get("indices", [])]
-        if any(i < 0 or i >= dimension for i in indices):
+        indices = entry.get("indices", [])
+        if type(indices) is not list or not set(map(type, indices)) <= {int}:
             raise ProblemError(
-                f"factor {factor_id!r}: index out of range for dimension {dimension}"
+                f"factor {factor_id!r}: field 'indices' must be an array of integers, found {indices!r}"
             )
-        phi_raw = dict(entry.get("phi", {}))
-        kind = phi_raw.pop("kind", None)
-        phi = build_phi(kind, phi_raw, len(indices), factor_id)
+        phi_raw = entry.get("phi", {})
+        if not isinstance(phi_raw, dict):
+            raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
+        phi = build_phi(phi_raw.get("kind"), phi_raw, len(indices), factor_id)
         try:
             factors.append(Factor(factor_id, tuple(indices), phi))
         except ValueError as exc:
             raise ProblemError(str(exc)) from None
     if not factors:
         raise ProblemError("field 'factors': at least one factor is required")
-    graph = FactorGraph(dimension, tuple(factors))
-
-    rule_raw = raw.get("rule", {})
     try:
-        rule = ExpectationRule(
-            kind=rule_raw.get("kind", "gauss_hermite"),
-            order=int(rule_raw.get("order", 5)),
-            seed=int(rule_raw.get("seed", 0)),
-        )
+        graph = FactorGraph(dimension, tuple(factors))
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from None
+
+    rule_raw = {"kind": "gauss_hermite", "order": 5, "seed": 0, **_object(raw.get("rule", {}), "field 'rule'")}
+    order = _integer(rule_raw["order"], "field 'rule.order'")
+    seed = _integer(rule_raw["seed"], "field 'rule.seed'")
+    try:
+        rule = ExpectationRule(kind=rule_raw["kind"], order=order, seed=seed)
     except ValueError as exc:
         raise ProblemError(f"field 'rule': {exc}") from None
 
-    cfg_raw = raw.get("config", {})
+    cfg_raw = {
+        "max_iters": 100,
+        "rel_tol": 1e-9,
+        "step_scale": 1.0,
+        "jitter": 0.0,
+        **_object(raw.get("config", {}), "field 'config'"),
+    }
+    max_iters = _integer(cfg_raw["max_iters"], "field 'config.max_iters'")
     try:
         config = NgdConfig(
-            max_iters=int(cfg_raw.get("max_iters", 100)),
-            rel_tol=float(cfg_raw.get("rel_tol", 1e-9)),
-            step_scale=float(cfg_raw.get("step_scale", 1.0)),
-            jitter=float(cfg_raw.get("jitter", 0.0)),
+            max_iters=max_iters,
+            rel_tol=_number_field(cfg_raw, "rel_tol", "field 'config."),
+            step_scale=_number_field(cfg_raw, "step_scale", "field 'config."),
+            jitter=_number_field(cfg_raw, "jitter", "field 'config."),
             rule=rule,
         )
     except ConfigError as exc:
@@ -244,7 +327,7 @@ def bundled_problem_names() -> list[str]:
 
 def load_problem(spec_arg: str) -> ProblemSpec:
     """Load a problem from a file path or a bundled problem name."""
-    if os.path.exists(spec_arg):
+    if os.path.isfile(spec_arg):
         with open(spec_arg, encoding="utf-8") as handle:
             raw = json.load(handle)
         return parse_problem(raw, name=os.path.basename(spec_arg))
@@ -252,7 +335,8 @@ def load_problem(spec_arg: str) -> ProblemSpec:
     if bundled.is_file():
         return parse_problem(json.loads(bundled.read_text(encoding="utf-8")), name=spec_arg)
     raise ProblemError(
-        f"no such problem file {spec_arg!r}; bundled problems: {bundled_problem_names()}"
+        f"field 'problem': {spec_arg!r} is neither a problem file nor a bundled "
+        f"problem; bundled problems: {bundled_problem_names()}"
     )
 
 
@@ -386,182 +470,18 @@ def run_command(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.tol
-
-
-def _resid(a, b) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
-def kron_checks(trials: int = 10, seed: int = 20240317) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    for n in range(1, 6):
-        pair = duplication(n)
-        d, dp = pair.dup, pair.pinv
-        worst = {key: 0.0 for key in ("dup1", "dup2", "dup3", "dup4", "sym", "mixed", "inverse", "transpose", "det", "trace", "quadform", "vec_abc")}
-        for _ in range(trials):
-            a = random_well_conditioned(n, rng)
-            b = random_well_conditioned(n, rng)
-            c = random_well_conditioned(n, rng)
-            s = random_spd(n, rng)
-            worst["dup1"] = max(worst["dup1"], _resid(dp @ d, np.eye(half_len(n))))
-            worst["dup2"] = max(worst["dup2"], _resid(dp.T @ d.T, d @ dp))
-            worst["dup3"] = max(worst["dup3"], _resid(d @ dp @ vec(s), vec(s)))
-            worst["dup4"] = max(worst["dup4"], _resid(d @ dp @ kron(a, a) @ d, kron(a, a) @ d))
-            worst["sym"] = max(worst["sym"], _resid(d @ d.T @ vec(a), vec(sym(a))))
-            worst["mixed"] = max(worst["mixed"], _resid(kron(a, b) @ kron(c, s), kron(a @ c, b @ s)))
-            worst["inverse"] = max(
-                worst["inverse"],
-                _resid(np.linalg.inv(kron(a, b)), kron(np.linalg.inv(a), np.linalg.inv(b))),
-            )
-            worst["transpose"] = max(worst["transpose"], _resid(kron(a, b).T, kron(a.T, b.T)))
-            det_expected = np.linalg.det(a) ** n * np.linalg.det(b) ** n
-            worst["det"] = max(
-                worst["det"],
-                abs(np.linalg.det(kron(a, b)) - det_expected) / max(1.0, abs(det_expected)),
-            )
-            worst["trace"] = max(worst["trace"], abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)))
-            u = rng.standard_normal(n)
-            w = rng.standard_normal(n)
-            worst["quadform"] = max(
-                worst["quadform"],
-                abs(float(u @ b @ c @ b.T @ w) - float(vec(b) @ kron(c.T, np.outer(w, u)) @ vec(b))),
-            )
-            worst["vec_abc"] = max(worst["vec_abc"], _resid(vec(a @ b @ c), kron(c.T, a) @ vec(b)))
-        for key, value in worst.items():
-            results.append(CheckResult(f"kron/dim{n}/{key}", value, 1e-12))
-    return results
-
-
-def fim_checks(seed: int = 20240318) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    for tag in PARAM_TAGS:
-        for n in (1, 2, 3):
-            g = random_gaussian(n, rng)
-            closed = fim(g, tag).matrix
-            numeric = fd_kl_hessian(g, tag, step=1e-3)
-            closed_r = reduce_to_unique(closed, tag, n)
-            numeric_r = reduce_to_unique(numeric, tag, n)
-            rel = float(np.linalg.norm(numeric_r - closed_r) / np.linalg.norm(closed_r))
-            results.append(CheckResult(f"fim/{tag}/n{n}/fd_hessian", rel, 1e-4))
-            product = fim_inverse(g, tag).matrix @ closed
-            resid = float(np.max(np.abs(product - np.eye(product.shape[0]))))
-            results.append(CheckResult(f"fim/{tag}/n{n}/inverse", resid, 1e-9))
-    return results
-
-
-def deriv_checks(seed: int = 20240319) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    n = 2
-    g = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-
-    # quartic loss, exact under order-7 quadrature
-    def quartic(x: np.ndarray) -> float:
-        return float(0.25 * np.sum(x**4) + 0.5 * x @ x + x[0] * x[1])
-
-    loss = LossFunctional(n, quartic)
-    rule = ExpectationRule("gauss_hermite", 7)
-    bundle = derivatives(loss, g, rule)
-    sigma = np.linalg.inv(g.prec.full())
-    sigma = 0.5 * (sigma + sigma.T)
-    relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
-    results.append(
-        CheckResult(
-            "deriv/relation/quartic",
-            float(np.max(np.abs(bundle.grad_prec.full() - relation))),
-            1e-8,
-        )
-    )
-
-    def quadratic(x: np.ndarray) -> float:
-        d = x - np.array([0.3, -0.2])
-        return float(0.5 * d @ np.array([[2.0, 0.5], [0.5, 1.5]]) @ d)
-
-    report = fd_check(LossFunctional(n, quadratic), g, ExpectationRule("gauss_hermite", 5))
-    worst = max(report.grad_mu_error, report.hess_mu_error, report.grad_prec_error)
-    results.append(CheckResult("deriv/fd/quadratic", worst, 1e-5))
-
-    g1 = MeanPrecision.from_dense([0.4], [[1.8]])
-    report = fd_check(
-        LossFunctional(1, lambda x: float(np.cos(x[0]))),
-        g1,
-        ExpectationRule("gauss_hermite", 15),
-    )
-    worst = max(report.grad_mu_error, report.hess_mu_error, report.grad_prec_error)
-    results.append(CheckResult("deriv/fd/cosine", worst, 1e-6))
-    return results
-
-
-def ngd_checks(trials: int = 20, seed: int = 20240320) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    worst_canon = 0.0
-    worst_hybrid = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 4))
-        g = random_gaussian(n, rng)
-        grad_mu = rng.standard_normal(n)
-        grad_matrix = 1e-2 * random_symmetric(n, rng)
-        dpair = duplication(n)
-        blind = np.concatenate([grad_mu, vec(grad_matrix)])
-        aware = np.concatenate([grad_mu, dpair.dup.T @ vec(grad_matrix)])
-        delta_blind = natural_delta(g, "theta", blind)[n:].reshape((n, n), order="F")
-        delta_aware = matf(natural_delta(g, "gamma", aware)[n:], n).full()
-        worst_canon = max(worst_canon, _resid(delta_blind, delta_aware))
-        delta_blind = natural_delta(g, "alpha", blind)[n:].reshape((n, n), order="F")
-        delta_aware = matf(natural_delta(g, "beta", aware)[n:], n).full()
-        worst_hybrid = max(worst_hybrid, _resid(delta_blind, delta_aware))
-    results.append(CheckResult("ngd/equivalence/canonical", worst_canon, 1e-10))
-    results.append(CheckResult("ngd/equivalence/hybrid", worst_hybrid, 1e-10))
-
-    # one-step exactness on a quadratic loss
-    n = 3
-    target_prec = random_spd(n, rng)
-    target_mean = rng.standard_normal(n)
-
-    def phi(x: np.ndarray) -> float:
-        d = x - target_mean
-        return float(0.5 * d @ target_prec @ d)
-
-    loss = LossFunctional(n, phi)
-    q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    bundle = derivatives(loss, q0, ExpectationRule("gauss_hermite", 5))
-    q1 = step_hybrid(q0, bundle)
-    resid = max(_resid(q1.mean, target_mean), _resid(q1.prec.full(), target_prec))
-    results.append(CheckResult("ngd/one_step_exactness", resid, 1e-10))
-    return results
-
-
-_SCOPES = {
-    "kron": kron_checks,
-    "fim": fim_checks,
-    "deriv": deriv_checks,
-    "ngd": ngd_checks,
-}
+# verify command
 
 
 def verify_command(args) -> int:
-    scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
+    scopes = list(verify.SCOPES) if args.scope == "all" else [args.scope]
     all_ok = True
     for scope in scopes:
-        for result in _SCOPES[scope]():
-            status = "PASS" if result.ok else "FAIL"
-            print(f"{status} {result.name}: residual={result.residual:.3e} tol={result.tol:.1e}")
-            all_ok = all_ok and result.ok
+        for criterion in verify.SCOPES[scope]:
+            for result in criterion():
+                status = "PASS" if result.ok else "FAIL"
+                print(f"{status} {result.name}: residual={result.residual:.3e} tol={result.tol:.1e}")
+                all_ok = all_ok and result.ok
     return 0 if all_ok else 1
 
 
@@ -588,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jitter", type=float)
     run.set_defaults(func=run_command)
 
-    verify = sub.add_parser("verify", help="run the built-in verification suites")
-    verify.add_argument("--scope", choices=("all", *_SCOPES), default="all")
-    verify.set_defaults(func=verify_command)
+    check = sub.add_parser("verify", help="run the paper's acceptance criteria 1-6 and 9")
+    check.add_argument("--scope", choices=("all", *verify.SCOPES), default="all")
+    check.set_defaults(func=verify_command)
     return parser
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import MeanCovariance, MeanPrecision, convert, mean_of, prec_of
+from .gaussian import MeanCovariance, MeanPrecision, convert
 from .kronmat import DimensionError, SymmetricMatrix, _vech_indices
 from .ngd import IterationTrace, NgdConfig, iterate_hybrid
 from .quadrature import ExpectationRule, default_rule, expect_weighted

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import NotPositiveDefiniteError, cov_of, mean_of, prec_of
-from .kronmat import SymmetricMatrix, duplication, half_len, matf, vech
+from .kronmat import duplication, half_len, matf, vech
 
 __all__ = [
     "PARAM_TAGS",
@@ -36,6 +36,8 @@ __all__ = [
     "fim_inverse",
     "fd_kl_hessian",
     "reduce_to_unique",
+    "central_hessian",
+    "shrink_until_pd",
 ]
 
 PARAM_TAGS = ("theta", "gamma", "alpha", "beta", "eta")
@@ -235,7 +237,8 @@ def _kl_in_coords(g, tag: str):
     return eta_fn
 
 
-def _central_hessian(fn, x0: np.ndarray, h: float) -> np.ndarray:
+def central_hessian(fn, x0: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Hessian of ``fn`` at ``x0`` with step ``h``."""
     n = x0.shape[0]
     hess = np.empty((n, n))
     f0 = fn(x0)
@@ -252,6 +255,21 @@ def _central_hessian(fn, x0: np.ndarray, h: float) -> np.ndarray:
     return hess
 
 
+def shrink_until_pd(estimate, step: float, what: str):
+    """``estimate(h)`` at the first of h = step, step/2, ..., step/2^8 whose
+    perturbations all stay inside the positive-definite cone."""
+    h = step
+    for attempt in range(9):
+        try:
+            return estimate(h)
+        except NotPositiveDefiniteError as exc:
+            if attempt == 8:
+                raise NotPositiveDefiniteError(
+                    f"{what} step shrank to {h:.2e} and perturbations still leave the PD cone"
+                ) from exc
+            h *= 0.5
+
+
 def fd_kl_hessian(g, tag: str, step: float = 1e-3, refine: bool = True) -> np.ndarray:
     """Central-difference Hessian of KL(g || .) in the tagged coordinates.
 
@@ -264,18 +282,12 @@ def fd_kl_hessian(g, tag: str, step: float = 1e-3, refine: bool = True) -> np.nd
         raise ValueError("step must be positive")
     fn = _kl_in_coords(g, tag)
     x0 = _pack_coords(g, tag)
-    h = step
-    last_error: Exception | None = None
-    for _ in range(9):
-        try:
-            coarse = _central_hessian(fn, x0, h)
-            if not refine:
-                return coarse
-            fine = _central_hessian(fn, x0, h / 2.0)
-            return (4.0 * fine - coarse) / 3.0
-        except NotPositiveDefiniteError as exc:
-            last_error = exc
-            h *= 0.5
-    raise NotPositiveDefiniteError(
-        f"KL Hessian step shrank to {h:.2e} and perturbations still leave the PD cone"
-    ) from last_error
+
+    def estimate(h: float) -> np.ndarray:
+        coarse = central_hessian(fn, x0, h)
+        if not refine:
+            return coarse
+        fine = central_hessian(fn, x0, h / 2.0)
+        return (4.0 * fine - coarse) / 3.0
+
+    return shrink_until_pd(estimate, step, "KL Hessian")

@@ -24,6 +24,7 @@ __all__ = [
     "SymmetricMatrix",
     "DuplicationPair",
     "half_len",
+    "check_symmetric",
     "vec",
     "mat",
     "kron",
@@ -58,6 +59,17 @@ def _vech_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.concatenate([np.arange(j, dim) for j in range(dim)])
     cols = np.concatenate([np.full(dim - j, j) for j in range(dim)])
     return rows, cols
+
+
+def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
+    """Raise AsymmetricMatrixError unless max|A - A^T| <= rtol * max(1, max|A|)."""
+    scale = max(1.0, float(np.abs(a).max()))
+    gap = float(np.abs(a - a.T).max())
+    if gap > rtol * scale:
+        raise AsymmetricMatrixError(
+            f"matrix is asymmetric: max|A - A^T| = {gap:.3e} "
+            f"exceeds {rtol:.1e} * {scale:.3e}"
+        )
 
 
 def _vech_position(i: int, j: int, dim: int) -> int:
@@ -95,13 +107,7 @@ class SymmetricMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        gap = float(np.max(np.abs(a - a.T)))
-        if gap > rtol * scale:
-            raise AsymmetricMatrixError(
-                f"matrix is asymmetric: max|A - A^T| = {gap:.3e} "
-                f"exceeds {rtol:.1e} * {scale:.3e}"
-            )
+        check_symmetric(a, rtol)
         r, c = _vech_indices(a.shape[0])
         return cls(a.shape[0], 0.5 * (a[r, c] + a[c, r]))
 

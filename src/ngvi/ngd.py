@@ -8,29 +8,20 @@ and solves for the mean change against that new precision:
     mu    <-  mu + step_scale * delta_mu
 
 The precision assignment is never damped; ``step_scale`` applies to the
-mean change only. ``step_generic`` applies the closed-form inverse FIM of
-any parameterization to a raw coordinate gradient, which is how the
-symmetry-aware/blind update equivalences are exercised.
+mean change only. The canonical and generic inverse-FIM steps that the
+paper's evidence compares against live in ``ngvi.verify``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fim import fim_inverse
-from .gaussian import (
-    MeanCovariance,
-    MeanPrecision,
-    NaturalForm,
-    convert,
-    cov_of,
-    mean_of,
-    prec_of,
-)
-from .kronmat import SymmetricMatrix, matf
+from .gaussian import MeanPrecision, convert, cov_of
+from .kronmat import SymmetricMatrix
 from .quadrature import ExpectationRule, default_rule
 from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
 
@@ -40,10 +31,7 @@ __all__ = [
     "NgdConfig",
     "TraceRecord",
     "IterationTrace",
-    "step_canonical",
     "step_hybrid",
-    "natural_delta",
-    "step_generic",
     "optimize",
     "iterate_hybrid",
 ]
@@ -73,12 +61,12 @@ class NgdConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ConfigError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ConfigError(f"rel_tol must be finite and positive, found {self.rel_tol!r}")
         if not 0.0 < self.step_scale <= 1.0:
             raise ConfigError("step_scale must lie in (0, 1]")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be nonnegative")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ConfigError(f"jitter must be finite and nonnegative, found {self.jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -128,63 +116,6 @@ def step_hybrid(
     """One hybrid natural-gradient step from the bundle evaluated at q."""
     delta_mu, hess = _hybrid_delta(d, jitter)
     return MeanPrecision(q.mean + step_scale * delta_mu, SymmetricMatrix.from_full(hess))
-
-
-def step_canonical(q: MeanCovariance, d: DerivativeBundle) -> MeanCovariance:
-    """One canonical (mean/covariance) natural-gradient step.
-
-    The covariance-side gradient is recovered from the bundle's precision
-    derivative via dV/dcov = -prec @ (dV/dprec) @ prec, and the update is
-    delta_cov = -2 cov @ (dV/dcov) @ cov. The result is revalidated as
-    positive definite; a failed validation is the step rejection.
-    """
-    sigma = q.cov.full()
-    prec = prec_of(q)
-    grad_sigma = -prec @ d.grad_prec.full() @ prec
-    delta_mu = -sigma @ d.grad_mu
-    delta_sigma = -2.0 * sigma @ grad_sigma @ sigma
-    return MeanCovariance.from_dense(q.mean + delta_mu, sigma + delta_sigma)
-
-
-def natural_delta(q, tag: str, grad: np.ndarray) -> np.ndarray:
-    """-(inverse FIM) @ grad in the tagged coordinate layout."""
-    info = fim_inverse(q, tag)
-    grad = np.asarray(grad, dtype=float).reshape(-1)
-    if grad.shape[0] != info.matrix.shape[0]:
-        raise ValueError(
-            f"gradient length {grad.shape[0]} does not match the "
-            f"{tag} coordinate count {info.matrix.shape[0]}"
-        )
-    return -(info.matrix @ grad)
-
-
-def step_generic(q, tag: str, grad: np.ndarray):
-    """Apply the natural-gradient step for any parameterization.
-
-    Returns a Gaussian in the form native to the tag: mean/covariance for
-    theta and gamma, mean/precision for alpha and beta, natural form for
-    eta.
-    """
-    delta = natural_delta(q, tag, grad)
-    n = q.dim
-    mu = mean_of(q)
-    if tag in ("theta", "gamma"):
-        sigma = cov_of(q)
-        if tag == "theta":
-            sigma_new = sigma + delta[n:].reshape((n, n), order="F")
-        else:
-            sigma_new = sigma + matf(delta[n:], n).full()
-        return MeanCovariance.from_dense(mu + delta[:n], sigma_new)
-    prec = prec_of(q)
-    if tag in ("alpha", "beta"):
-        if tag == "alpha":
-            prec_new = prec + delta[n:].reshape((n, n), order="F")
-        else:
-            prec_new = prec + matf(delta[n:], n).full()
-        return MeanPrecision.from_dense(mu + delta[:n], prec_new)
-    eta1_new = prec @ mu + delta[:n]
-    prec_new = prec + delta[n:].reshape((n, n), order="F")
-    return NaturalForm(eta1_new, SymmetricMatrix.from_full(prec_new))
 
 
 def _predicted_decrease(q, d: DerivativeBundle) -> float:

@@ -13,7 +13,9 @@ directly rather than through the relation
 
     grad_prec = (1/2) cov - (1/2) cov @ hess_mu @ cov
 
-so the relation remains a genuine cross-check.
+so the relation remains a genuine cross-check. That cross-check and the
+finite-difference validation of all three blocks (``fd_check``) live in
+``ngvi.verify``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .gaussian import (
-    MeanPrecision,
-    NotPositiveDefiniteError,
-    cov_of,
-    mean_of,
-    prec_of,
-)
+from .gaussian import cov_of, prec_of
 from .kronmat import DimensionError, SymmetricMatrix
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted
 
-__all__ = ["LossFunctional", "DerivativeBundle", "FdReport", "value", "derivatives", "value_and_derivatives", "fd_check"]
+__all__ = ["LossFunctional", "DerivativeBundle", "value", "derivatives", "value_and_derivatives"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +52,6 @@ class DerivativeBundle:
     grad_mu: np.ndarray
     hess_mu: SymmetricMatrix
     grad_prec: SymmetricMatrix
-
-
-@dataclass(frozen=True)
-class FdReport:
-    """Relative errors of the analytic derivatives against finite differences."""
-
-    grad_mu_error: float
-    hess_mu_error: float
-    grad_prec_error: float
-    step: float
 
 
 def _check_dims(loss: LossFunctional, q) -> None:
@@ -107,80 +93,3 @@ def value_and_derivatives(
 
 def derivatives(loss: LossFunctional, q, rule: ExpectationRule) -> DerivativeBundle:
     return value_and_derivatives(loss, q, rule)[1]
-
-
-def _rel_err(found: np.ndarray, expected: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(expected)))
-    return float(np.linalg.norm(found - expected)) / scale
-
-
-def fd_check(loss: LossFunctional, q, rule: ExpectationRule, step: float = 1e-5) -> FdReport:
-    """Validate the derivative bundle against finite differences of ``value``.
-
-    The precision check perturbs entries (i, j) and (j, i) together, so an
-    off-diagonal difference quotient equals twice the symmetric-matrix
-    derivative entry while a diagonal one matches it directly.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    _check_dims(loss, q)
-    n = q.dim
-    mu = mean_of(q)
-    prec = prec_of(q)
-    bundle = derivatives(loss, q, rule)
-
-    def val(mu2: np.ndarray, prec2: np.ndarray) -> float:
-        return value(loss, MeanPrecision.from_dense(mu2, prec2), rule)
-
-    # first derivative over the mean
-    grad_fd = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        grad_fd[i] = (val(mu + e, prec) - val(mu - e, prec)) / (2.0 * step)
-
-    # second differences need a larger step to beat roundoff
-    h2 = max(step, 1e-3)
-    hess_fd = np.empty((n, n))
-    f0 = val(mu, prec)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h2
-        hess_fd[i, i] = (val(mu + ei, prec) - 2.0 * f0 + val(mu - ei, prec)) / h2**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h2
-            hess_fd[i, j] = hess_fd[j, i] = (
-                val(mu + ei + ej, prec)
-                - val(mu + ei - ej, prec)
-                - val(mu - ei + ej, prec)
-                + val(mu - ei - ej, prec)
-            ) / (4.0 * h2**2)
-
-    # precision derivative over unique entries, symmetric pair perturbation
-    prec_fd = np.zeros((n, n))
-    expected_prec = np.zeros((n, n))
-    grad_prec = bundle.grad_prec.full()
-    for j in range(n):
-        for i in range(j, n):
-            pert = np.zeros((n, n))
-            pert[i, j] = pert[j, i] = 1.0
-            h = step
-            for attempt in range(9):
-                try:
-                    diff = (val(mu, prec + h * pert) - val(mu, prec - h * pert)) / (2.0 * h)
-                    break
-                except NotPositiveDefiniteError:
-                    if attempt == 8:
-                        raise
-                    h *= 0.5
-            prec_fd[i, j] = prec_fd[j, i] = diff
-            factor = 1.0 if i == j else 2.0
-            expected_prec[i, j] = expected_prec[j, i] = factor * grad_prec[i, j]
-
-    return FdReport(
-        grad_mu_error=_rel_err(grad_fd, bundle.grad_mu),
-        hess_mu_error=_rel_err(hess_fd, bundle.hess_mu.full()),
-        grad_prec_error=_rel_err(prec_fd, expected_prec),
-        step=step,
-    )

@@ -6,22 +6,9 @@ prints a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 
 import hashlib
 
-import numpy as np
-
-from ngvi._testing import (
-    random_gaussian,
-    random_orthogonal,
-    random_spd,
-    random_symmetric,
-)
+from ngvi import verify
 from ngvi.cli import main
 from ngvi.factors import optimize_factored, pattern_violations, sparsity_pattern
-from ngvi.fim import PARAM_TAGS, fd_kl_hessian, fim, fim_inverse, reduce_to_unique
-from ngvi.gaussian import MeanPrecision
-from ngvi.kronmat import duplication, half_len, kron, matf, sym, vec
-from ngvi.ngd import natural_delta, step_hybrid
-from ngvi.quadrature import ExpectationRule
-from ngvi.vloss import LossFunctional, derivatives, fd_check
 
 
 def report(number: int, name: str, worst: float, tol: float) -> None:
@@ -30,151 +17,39 @@ def report(number: int, name: str, worst: float, tol: float) -> None:
     assert worst <= tol, f"criterion {number} ({name}): {worst:.3e} > {tol:.1e}"
 
 
-def unit_scale_matrix(n, rng):
-    # singular values near 1 keep inverse/determinant identities at
-    # machine precision in absolute terms
-    u = random_orthogonal(n, rng)
-    v = random_orthogonal(n, rng)
-    return u @ np.diag(rng.uniform(0.8, 1.25, n)) @ v.T
+def report_checks(number: int, name: str, results: list[verify.CheckResult]) -> None:
+    """One ACCEPTANCE line for a criterion defined in ``ngvi.verify``."""
+    failed = [f"{r.name} {r.residual:.3e} > {r.tol:.1e}" for r in results if not r.ok]
+    closest = max(results, key=lambda r: r.residual / r.tol)
+    print(
+        f"ACCEPTANCE {number} {name}: {'FAIL' if failed else 'PASS'} ({len(results)} checks; "
+        f"closest to its tolerance: {closest.name} {closest.residual:.3e} <= {closest.tol:.1e})"
+    )
+    assert not failed, f"criterion {number} ({name}): " + "; ".join(failed)
 
 
 def test_criterion_1_duplication_and_kronecker_identities():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for n in range(1, 6):
-        pair = duplication(n)
-        d, dp = pair.dup, pair.pinv
-        eye_half = np.eye(half_len(n))
-        for _ in range(100):
-            a = unit_scale_matrix(n, rng)
-            b = unit_scale_matrix(n, rng)
-            c = unit_scale_matrix(n, rng)
-            s = random_symmetric(n, rng)
-            residuals = [
-                np.max(np.abs(dp @ d - eye_half)),
-                np.max(np.abs(dp.T @ d.T - d @ dp)),
-                np.max(np.abs(d @ dp @ vec(s) - vec(s))),
-                np.max(np.abs(d @ dp @ kron(a, a) @ d - kron(a, a) @ d)),
-                np.max(np.abs(d @ d.T @ vec(a) - vec(sym(a)))),
-                np.max(np.abs(kron(a, b) @ kron(c, s) - kron(a @ c, b @ s))),
-                np.max(np.abs(np.linalg.inv(kron(a, b)) - kron(np.linalg.inv(a), np.linalg.inv(b)))),
-                np.max(np.abs(kron(a, b).T - kron(a.T, b.T))),
-                abs(np.linalg.det(kron(a, b)) - np.linalg.det(a) ** n * np.linalg.det(b) ** n),
-                abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)),
-                np.max(np.abs(vec(a @ b @ c) - kron(c.T, a) @ vec(b))),
-            ]
-            worst = max(worst, max(residuals))
-    report(1, "duplication and Kronecker identities", worst, 1e-12)
+    report_checks(1, "duplication and Kronecker identities", verify.kronecker_identities())
 
 
 def test_criterion_2_fim_matches_fd_kl_hessian():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for tag in PARAM_TAGS:
-        for n in (1, 2, 3):
-            g = random_gaussian(n, rng)
-            closed = reduce_to_unique(fim(g, tag).matrix, tag, n)
-            numeric = reduce_to_unique(fd_kl_hessian(g, tag, step=1e-3), tag, n)
-            rel = float(np.linalg.norm(numeric - closed) / np.linalg.norm(closed))
-            worst = max(worst, rel)
-    report(2, "FIM vs finite-difference KL Hessian", worst, 1e-4)
+    report_checks(2, "FIM vs finite-difference KL Hessian", verify.fim_vs_fd_kl_hessian())
 
 
 def test_criterion_3_closed_form_inverse_fims():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for tag in PARAM_TAGS:
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            g = random_gaussian(n, rng)
-            product = fim_inverse(g, tag).matrix @ fim(g, tag).matrix
-            worst = max(worst, float(np.max(np.abs(product - np.eye(product.shape[0])))))
-    report(3, "inverse FIM times FIM is identity", worst, 1e-9)
+    report_checks(3, "inverse FIM times FIM is identity", verify.fim_inverse_identity())
 
 
 def test_criterion_4_symmetry_equivalence():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 4))
-        g = random_gaussian(n, rng)
-        grad_mu = rng.standard_normal(n)
-        grad_matrix = random_symmetric(n, rng)
-        pair = duplication(n)
-        blind = np.concatenate([grad_mu, vec(grad_matrix)])
-        aware = np.concatenate([grad_mu, pair.dup.T @ vec(grad_matrix)])
-        for vec_tag, vech_tag in (("theta", "gamma"), ("alpha", "beta")):
-            delta_blind = natural_delta(g, vec_tag, blind)[n:].reshape((n, n), order="F")
-            delta_aware = matf(natural_delta(g, vech_tag, aware)[n:], n).full()
-            worst = max(worst, float(np.max(np.abs(delta_blind - delta_aware))))
-    report(4, "symmetry-aware and blind steps agree", worst, 1e-10)
+    report_checks(4, "symmetry-aware and blind steps agree", verify.symmetry_equivalence())
 
 
 def test_criterion_5_derivative_relation():
-    rng = np.random.default_rng(105)
-    worst_poly = 0.0
-    for _ in range(10):
-        n = int(rng.integers(1, 3))
-        g = random_gaussian(n, rng)
-        coeffs4 = rng.standard_normal(n)
-        coeffs2 = random_spd(n, rng)
-        coeffs1 = rng.standard_normal(n)
-
-        def quartic(x):
-            return float(
-                0.1 * np.sum(coeffs4 * x**4) + 0.5 * x @ coeffs2 @ x + coeffs1 @ x
-            )
-
-        bundle = derivatives(LossFunctional(n, quartic), g, ExpectationRule("gauss_hermite", 5))
-        sigma = g.cov.full()
-        relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
-        worst_poly = max(worst_poly, float(np.max(np.abs(bundle.grad_prec.full() - relation))))
-
-    worst_cos = 0.0
-    for _ in range(5):
-        n = int(rng.integers(1, 3))
-        g = random_gaussian(n, rng)
-        bundle = derivatives(
-            LossFunctional(n, lambda x: float(np.cos(np.sum(x)))),
-            g,
-            ExpectationRule("gauss_hermite", 15),
-        )
-        sigma = g.cov.full()
-        relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
-        worst_cos = max(worst_cos, float(np.max(np.abs(bundle.grad_prec.full() - relation))))
-
-    status = "PASS" if worst_poly <= 1e-8 and worst_cos <= 1e-6 else "FAIL"
-    print(
-        f"ACCEPTANCE 5 derivative relation: {status} "
-        f"(polynomial {worst_poly:.3e} <= 1e-08, cosine {worst_cos:.3e} <= 1e-06)"
-    )
-    assert worst_poly <= 1e-8
-    assert worst_cos <= 1e-6
+    report_checks(5, "derivative relation", verify.derivative_relation())
 
 
 def test_criterion_6_one_step_exactness():
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        # closed-form Bayes oracle: sum of quadratic terms
-        ms = [rng.standard_normal(n) for _ in range(3)]
-        ps = [random_spd(n, rng) for _ in range(3)]
-        prec_post = sum(ps)
-        mean_post = np.linalg.solve(prec_post, sum(p @ m for p, m in zip(ps, ms)))
-
-        def phi(x):
-            return float(sum(0.5 * (x - m) @ p @ (x - m) for m, p in zip(ms, ps)))
-
-        q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-        bundle = derivatives(LossFunctional(n, phi), q0, ExpectationRule("gauss_hermite", 5))
-        q1 = step_hybrid(q0, bundle)
-        worst = max(
-            worst,
-            float(np.max(np.abs(q1.mean - mean_post))),
-            float(np.max(np.abs(q1.prec.full() - prec_post))),
-        )
-    report(6, "one-step exactness on linear-Gaussian problems", worst, 1e-10)
+    report_checks(6, "one-step exactness on linear-Gaussian problems", verify.one_step_exactness())
 
 
 def test_criterion_7_sparsity_preservation():
@@ -208,36 +83,7 @@ def test_criterion_8_loss_non_increasing(tmp_path):
 
 
 def test_criterion_9_fd_derivative_validation():
-    rng = np.random.default_rng(109)
-    n = 2
-    m = rng.standard_normal(n)
-    p = random_spd(n, rng)
-
-    def quadratic(x):
-        d = x - m
-        return float(0.5 * d @ p @ d)
-
-    g = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    rep_q = fd_check(LossFunctional(n, quadratic), g, ExpectationRule("gauss_hermite", 5))
-    worst_q = max(rep_q.grad_mu_error, rep_q.hess_mu_error, rep_q.grad_prec_error)
-
-    a = np.array([1.5])
-
-    def logistic(x):
-        t = float(a @ x)
-        return float(np.logaddexp(0.0, t) - t)
-
-    g1 = MeanPrecision.from_dense([0.3], [[2.0]])
-    rep_l = fd_check(LossFunctional(1, logistic), g1, ExpectationRule("gauss_hermite", 15))
-    worst_l = max(rep_l.grad_mu_error, rep_l.hess_mu_error, rep_l.grad_prec_error)
-
-    status = "PASS" if worst_q <= 1e-5 and worst_l <= 1e-4 else "FAIL"
-    print(
-        f"ACCEPTANCE 9 finite-difference derivative validation: {status} "
-        f"(quadratic {worst_q:.3e} <= 1e-05, logistic {worst_l:.3e} <= 1e-04)"
-    )
-    assert worst_q <= 1e-5
-    assert worst_l <= 1e-4
+    report_checks(9, "finite-difference derivative validation", verify.fd_derivatives())
 
 
 def test_criterion_10_determinism(tmp_path):

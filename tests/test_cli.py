@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngvi.cli import (
     ProblemError,
@@ -201,3 +203,128 @@ def test_verify_scopes(capsys):
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# malformed input fails early, naming the field
+
+PHI_CASES = [
+    ("gaussian_quadratic", {"m": [0.5, -1.0], "P": [[2.0, 0.3], [0.3, 1.0]]}, 2),
+    ("logistic_bernoulli", {"feature": [1.0, -2.0], "label": 1}, 2),
+    ("nonlinear_range", {"distance": 1.5, "variance": 0.1, "landmark": [0.0, 1.0]}, 2),
+    ("nonlinear_range", {"distance": 1.5, "variance": 0.1}, 4),
+    ("polynomial", {"coefficients": [1.0, 0.0, 2.0]}, 1),
+]
+NAN, INF = float("nan"), float("inf")
+# values no parameter accepts; None stands for JSON null
+INVALID = [NAN, INF, -INF, "1.0", None, True, {}, []]
+# parameters that must reject a negative value
+POSITIVE = {"distance", "variance", "label"}
+
+
+def assert_names(message, factor_id, key):
+    assert f"factor {factor_id!r}" in message, message
+    assert f"field {key!r}" in message, message
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(PHI_CASES), data=st.data())
+def test_build_phi_fuzz_rejects_malformed_parameters(case, data):
+    kind, valid, n_indices = case
+    params = json.loads(json.dumps(valid))
+    key = data.draw(st.sampled_from(sorted(params)), label="key")
+    mutation = data.draw(st.sampled_from(["missing", "negative", "invalid"]), label="mutation")
+    if mutation == "missing":
+        del params[key]
+    else:
+        if mutation == "negative":
+            replacement = data.draw(st.floats(-1e3, -1e-3), label="negative")
+        else:
+            replacement = data.draw(st.sampled_from(INVALID), label="invalid")
+        target, slot = params, key
+        # optionally replace one entry of an array parameter, not the whole field
+        while isinstance(target[slot], list) and target[slot] and data.draw(st.booleans(), label="inside"):
+            target, slot = target[slot], data.draw(st.integers(0, len(target[slot]) - 1), label="entry")
+        target[slot] = replacement
+
+    try:
+        build_phi(kind, params, n_indices, "fz")
+    except ProblemError as exc:
+        assert_names(str(exc), "fz", key)
+    except Exception as exc:  # any other type is the failure under test
+        pytest.fail(f"{type(exc).__name__} for {params}: {exc}")
+    else:
+        assert mutation == "negative" and key not in POSITIVE, params
+
+
+@pytest.mark.parametrize(
+    "kind, params, n_indices, key",
+    [
+        pytest.param("polynomial", {}, 1, "coefficients", id="missing-coefficients"),
+        pytest.param("gaussian_quadratic", {"m": [NAN], "P": [[1.0]]}, 1, "m", id="nan-m"),
+        pytest.param("gaussian_quadratic", {"m": [0.0], "P": [[INF]]}, 1, "P", id="inf-P"),
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0, 0.0], "P": [[1.0, 0.5], [0.4, 1.0]]}, 2, "P", id="asymmetric-P"
+        ),
+        pytest.param("logistic_bernoulli", {"feature": [NAN], "label": 1}, 1, "feature", id="nan-feature"),
+        pytest.param("logistic_bernoulli", {"feature": [1.0], "label": 0.7}, 1, "label", id="fractional-label"),
+        pytest.param("polynomial", {"coefficients": [1.0, -INF]}, 1, "coefficients", id="inf-coefficient"),
+        pytest.param("nonlinear_range", {"distance": NAN, "variance": 0.1}, 4, "distance", id="nan-distance"),
+        pytest.param("nonlinear_range", {"distance": -1.0, "variance": 0.1}, 4, "distance", id="negative-distance"),
+        pytest.param("nonlinear_range", {"distance": 1.0, "variance": INF}, 4, "variance", id="inf-variance"),
+    ],
+)
+def test_build_phi_rejects_malformed_parameter(kind, params, n_indices, key):
+    with pytest.raises(ProblemError) as excinfo:
+        build_phi(kind, params, n_indices, "f3")
+    assert_names(str(excinfo.value), "f3", key)
+
+
+def _set(path, value):
+    def edit(raw):
+        target = raw
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return raw
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(lambda raw: [raw], "'<root>'", id="top-level-array"),
+        pytest.param(_set(["init"], [1.0]), "'init'", id="init-array"),
+        pytest.param(_set(["rule"], [5]), "'rule'", id="rule-array"),
+        pytest.param(_set(["config"], [50]), "'config'", id="config-array"),
+        pytest.param(_set(["factors", 1], ["odom_01"]), "'factors[1]'", id="factor-array"),
+        pytest.param(_set(["factors", 1, "phi"], 3), "'phi'", id="phi-number"),
+        pytest.param(_set(["dimension"], 2.7), "'dimension'", id="fractional-dimension"),
+        pytest.param(_set(["factors", 1, "indices"], [0.9, 1.2]), "'indices'", id="fractional-indices"),
+        pytest.param(_set(["config", "max_iters"], 2.5), "'config.max_iters'", id="fractional-max-iters"),
+        pytest.param(_set(["rule", "order"], 5.5), "'rule.order'", id="fractional-order"),
+        pytest.param(_set(["rule", "seed"], 0.5), "'rule.seed'", id="fractional-seed"),
+        pytest.param(_set(["config", "rel_tol"], NAN), "'config.rel_tol'", id="nan-rel-tol"),
+        pytest.param(_set(["config", "jitter"], INF), "'config.jitter'", id="inf-jitter"),
+    ],
+)
+def test_malformed_structure_exits_one_naming_field(tmp_path, capsys, edit, field):
+    raw = edit(json.loads(open(_bundled_path("linear_chain")).read()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+    assert f"field {field}" in err, err
+
+
+def test_directory_problem_path_exits_one(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "-o", str(tmp_path / "out")]) == 1
+    assert "field 'problem'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--jitter", "nan")])
+def test_non_finite_override_exits_one(tmp_path, capsys, flag, value):
+    assert main(["run", "linear_chain", "-o", str(tmp_path), flag, value]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err

@@ -13,7 +13,7 @@ from ngvi.fim import (
     fim_inverse,
     reduce_to_unique,
 )
-from ngvi.gaussian import MeanCovariance, MeanPrecision
+from ngvi.gaussian import MeanCovariance, MeanPrecision, NotPositiveDefiniteError
 from ngvi.kronmat import duplication, half_len, kron, vec
 
 
@@ -155,6 +155,13 @@ def test_fd_hessian_rejects_bad_step():
     g = MeanCovariance.from_dense([0.0], [[1.0]])
     with pytest.raises(ValueError):
         fd_kl_hessian(g, "theta", step=0.0)
+
+
+def test_fd_hessian_failure_names_smallest_step_tried():
+    # a covariance this small leaves the PD cone at every step tried
+    g = MeanCovariance.from_dense([0.0], [[1e-9]])
+    with pytest.raises(NotPositiveDefiniteError, match=f"shrank to {1e-3 / 2**8:.2e}"):
+        fd_kl_hessian(g, "gamma", step=1e-3)
 
 
 def test_fisher_info_records_tag_and_flag():

@@ -12,13 +12,11 @@ from ngvi.ngd import (
     IndefiniteHessianError,
     NgdConfig,
     iterate_hybrid,
-    natural_delta,
     optimize,
-    step_canonical,
-    step_generic,
     step_hybrid,
 )
 from ngvi.quadrature import ExpectationRule
+from ngvi.verify import natural_delta, step_canonical, step_generic
 from ngvi.vloss import DerivativeBundle, LossFunctional, derivatives, value_and_derivatives
 from ngvi.kronmat import SymmetricMatrix
 
@@ -47,6 +45,13 @@ def test_config_validation():
         NgdConfig(step_scale=1.5)
     with pytest.raises(ConfigError):
         NgdConfig(jitter=-1.0)
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "jitter"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        NgdConfig(**{field: bad})
 
 
 def test_natural_delta_matches_explicit_inverse_product():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ngvi._testing import random_gaussian, random_spd
-from ngvi.gaussian import MeanPrecision, convert
+from ngvi.gaussian import MeanPrecision, NotPositiveDefiniteError, convert
 from ngvi.kronmat import DimensionError
 from ngvi.quadrature import ExpectationRule
+from ngvi.verify import fd_check
 from ngvi.vloss import (
     LossFunctional,
     derivatives,
-    fd_check,
     value,
     value_and_derivatives,
 )
@@ -165,3 +165,11 @@ def test_fd_check_rejects_bad_step():
     g = MeanPrecision.from_dense([0.0], [[1.0]])
     with pytest.raises(ValueError):
         fd_check(loss, g, RULE5, step=-1.0)
+
+
+def test_fd_check_failure_names_smallest_step_tried():
+    # a precision this small leaves the PD cone at every step tried
+    loss = LossFunctional(1, lambda x: float(x[0] ** 2))
+    g = MeanPrecision.from_dense([0.0], [[1e-9]])
+    with pytest.raises(NotPositiveDefiniteError, match=f"shrank to {1e-5 / 2**8:.2e}"):
+        fd_check(loss, g, RULE5)
