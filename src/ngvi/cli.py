@@ -85,6 +85,16 @@ def _integer(value, where: str) -> int:
 _NUMBER_TYPES = {int, float}
 
 
+def _number(value, where: str) -> float:
+    """A JSON number (booleans excluded) as a float."""
+    try:
+        if type(value) in _NUMBER_TYPES:
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ProblemError(f"{where} must be a number, found {value!r}")
+
+
 def _finite_numbers(value) -> bool:
     """True for a finite JSON number or nested lists of them (booleans excluded)."""
     if type(value) is not list:
@@ -95,34 +105,14 @@ def _finite_numbers(value) -> bool:
     return kinds == {list} and all(map(_finite_numbers, value))
 
 
-# ``prefix`` + key + "'" names a field: "factor 'f1': field '" or "field 'config."
-
-
-def _field_problem(fields: dict, key: str, prefix: str, expected: str) -> ProblemError:
-    if key not in fields:
-        return ProblemError(f"{prefix}{key}' is missing")
-    return ProblemError(f"{prefix}{key}' must be {expected}, found {fields[key]!r}")
-
-
-def _array_field(fields: dict, key: str, prefix: str) -> np.ndarray:
-    """``fields[key]`` as floats: a finite number or a rectangular array of them."""
-    value = fields.get(key)
+def _numbers(value, where: str) -> np.ndarray:
+    """A finite JSON number or a rectangular array of them, as floats."""
     try:
         if _finite_numbers(value):
             return np.asarray(value, dtype=float)
-    except (ValueError, OverflowError):  # ragged nesting, or an int beyond float range
+    except (ValueError, OverflowError):  # ragged nesting, or an integer beyond float range
         pass
-    raise _field_problem(fields, key, prefix, "a finite number or a rectangular array of them")
-
-
-def _number_field(fields: dict, key: str, prefix: str) -> float:
-    value = fields.get(key)
-    try:
-        if type(value) in _NUMBER_TYPES and math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass
-    raise _field_problem(fields, key, prefix, "a finite number")
+    raise ProblemError(f"{where} must be a finite number or a rectangular array of them, found {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +126,21 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
     raises ProblemError naming the factor and the field.
     """
     owner = f"factor {factor_id!r}: "
-    prefix = owner + "field '"
+
+    def field(key: str) -> str:
+        return f"{owner}field {key!r}"
+
     if kind == "gaussian_quadratic":
-        m = _array_field(params, "m", prefix).reshape(-1)
-        p = _array_field(params, "P", prefix)
+        m = _numbers(params.get("m"), field("m")).reshape(-1)
+        p = _numbers(params.get("P"), field("P"))
         if m.shape[0] != n_indices:
-            raise ProblemError(f"{owner}field 'm' must have one entry per index ({n_indices})")
+            raise ProblemError(f"{field('m')} must have one entry per index ({n_indices})")
         if p.shape != (n_indices, n_indices):
-            raise ProblemError(f"{owner}field 'P' must be a {n_indices}x{n_indices} matrix")
+            raise ProblemError(f"{field('P')} must be a {n_indices}x{n_indices} matrix")
         try:
             check_symmetric(p)
         except AsymmetricMatrixError as exc:
-            raise ProblemError(f"{owner}field 'P': {exc}") from None
+            raise ProblemError(f"{field('P')}: {exc}") from None
 
         def phi(u: np.ndarray) -> float:
             d = u - m
@@ -155,13 +148,13 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "logistic_bernoulli":
-        a = _array_field(params, "feature", prefix).reshape(-1)
-        label = _number_field(params, "label", prefix)
+        a = _numbers(params.get("feature"), field("feature")).reshape(-1)
+        label = _number(params.get("label"), field("label"))
         if label not in (0.0, 1.0):
-            raise ProblemError(f"{owner}field 'label' must be 0 or 1, found {params['label']!r}")
+            raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
         y = int(label)
         if a.shape[0] != n_indices:
-            raise ProblemError(f"{owner}field 'feature' must have one entry per index ({n_indices})")
+            raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
 
         def phi(u: np.ndarray) -> float:
             t = float(a @ u)
@@ -169,17 +162,17 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "nonlinear_range":
-        distance = _number_field(params, "distance", prefix)
-        variance = _number_field(params, "variance", prefix)
-        if distance < 0:
-            raise ProblemError(f"{owner}field 'distance' must be nonnegative, found {distance!r}")
-        if variance <= 0:
-            raise ProblemError(f"{owner}field 'variance' must be positive, found {variance!r}")
+        distance = _number(params.get("distance"), field("distance"))
+        variance = _number(params.get("variance"), field("variance"))
+        if not 0.0 <= distance < math.inf:
+            raise ProblemError(f"{field('distance')} must be finite and nonnegative, found {distance!r}")
+        if not 0.0 < variance < math.inf:
+            raise ProblemError(f"{field('variance')} must be finite and positive, found {variance!r}")
         if params.get("landmark") is not None:
-            point = _array_field(params, "landmark", prefix).reshape(-1)
+            point = _numbers(params["landmark"], field("landmark")).reshape(-1)
             if point.shape[0] != 2 or n_indices != 2:
                 raise ProblemError(
-                    f"{owner}field 'landmark': fixed-landmark range factors take "
+                    f"{field('landmark')}: fixed-landmark range factors take "
                     f"2 indices and a 2-vector landmark"
                 )
 
@@ -190,7 +183,7 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
             return phi
         if n_indices != 4:
             raise ProblemError(
-                f"{owner}field 'landmark' is missing: range factors take 2 indices "
+                f"{field('landmark')} is missing: range factors take 2 indices "
                 f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
 
@@ -200,9 +193,9 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "polynomial":
-        coeffs = _array_field(params, "coefficients", prefix).reshape(-1)
+        coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
         if coeffs.shape[0] == 0:
-            raise ProblemError(f"{owner}field 'coefficients' must hold at least one coefficient")
+            raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
         if n_indices != 1:
             raise ProblemError(f"{owner}polynomial factors take 1 index")
 
@@ -210,7 +203,7 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
             return float(np.polynomial.polynomial.polyval(u[0], coeffs))
 
         return phi
-    raise ProblemError(f"{owner}field 'kind': unknown phi kind {kind!r}")
+    raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +212,8 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
 def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
     form = raw.get("form")
-    mean = np.asarray(raw.get("mean", []), dtype=float).reshape(-1)
-    half = np.asarray(raw.get("matrix_vech", []), dtype=float).reshape(-1)
+    mean = _numbers(raw.get("mean"), "field 'init.mean'").reshape(-1)
+    half = _numbers(raw.get("matrix_vech"), "field 'init.matrix_vech'").reshape(-1)
     if mean.shape[0] != dimension:
         raise ProblemError(
             f"field 'init.mean': length {mean.shape[0]} != dimension {dimension}"
@@ -302,9 +295,9 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     try:
         config = NgdConfig(
             max_iters=max_iters,
-            rel_tol=_number_field(cfg_raw, "rel_tol", "field 'config."),
-            step_scale=_number_field(cfg_raw, "step_scale", "field 'config."),
-            jitter=_number_field(cfg_raw, "jitter", "field 'config."),
+            rel_tol=_number(cfg_raw["rel_tol"], "field 'config.rel_tol'"),
+            step_scale=_number(cfg_raw["step_scale"], "field 'config.step_scale'"),
+            jitter=_number(cfg_raw["jitter"], "field 'config.jitter'"),
             rule=rule,
         )
     except ConfigError as exc:
@@ -327,7 +320,9 @@ def bundled_problem_names() -> list[str]:
 
 def load_problem(spec_arg: str) -> ProblemSpec:
     """Load a problem from a file path or a bundled problem name."""
-    if os.path.isfile(spec_arg):
+    if os.path.isdir(spec_arg):
+        raise ProblemError(f"field 'problem': {spec_arg!r} is a directory, not a problem file")
+    if os.path.exists(spec_arg):
         with open(spec_arg, encoding="utf-8") as handle:
             raw = json.load(handle)
         return parse_problem(raw, name=os.path.basename(spec_arg))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -305,8 +306,11 @@ def _set(path, value):
         pytest.param(_set(["config", "max_iters"], 2.5), "'config.max_iters'", id="fractional-max-iters"),
         pytest.param(_set(["rule", "order"], 5.5), "'rule.order'", id="fractional-order"),
         pytest.param(_set(["rule", "seed"], 0.5), "'rule.seed'", id="fractional-seed"),
-        pytest.param(_set(["config", "rel_tol"], NAN), "'config.rel_tol'", id="nan-rel-tol"),
-        pytest.param(_set(["config", "jitter"], INF), "'config.jitter'", id="inf-jitter"),
+        pytest.param(_set(["init", "mean", 0], NAN), "'init.mean'", id="nan-init-mean"),
+        pytest.param(_set(["init", "matrix_vech", 0], "1.5"), "'init.matrix_vech'", id="string-init-vech"),
+        pytest.param(_set(["config", "rel_tol"], "1e-9"), "'config.rel_tol'", id="string-rel-tol"),
+        pytest.param(_set(["config", "rel_tol"], NAN), "'config'", id="nan-rel-tol"),
+        pytest.param(_set(["config", "jitter"], INF), "'config'", id="inf-jitter"),
     ],
 )
 def test_malformed_structure_exits_one_naming_field(tmp_path, capsys, edit, field):
@@ -322,6 +326,19 @@ def test_malformed_structure_exits_one_naming_field(tmp_path, capsys, edit, fiel
 def test_directory_problem_path_exits_one(tmp_path, capsys):
     assert main(["run", str(tmp_path), "-o", str(tmp_path / "out")]) == 1
     assert "field 'problem'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_problem_reads_a_pipe():
+    text = open(_bundled_path("linear_chain"), "rb").read()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text)  # a few kB, within any pipe buffer
+        os.close(write_end)
+        spec = load_problem(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert spec.dimension == load_problem("linear_chain").dimension
 
 
 @pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--jitter", "nan")])
