@@ -3,9 +3,12 @@
 Each factor touches a subset of the variables through an index list (the
 projection); per-factor derivatives are evaluated over the factor's
 exact marginal and scatter-added into the global gradient and mean
-Hessian. Because the Hessian only ever receives within-factor blocks,
-the precision support stays inside the factor-induced pattern at every
-iteration, and the optimizer asserts exactly that.
+Hessian. Every marginal of one iteration is sliced from a single
+covariance, the inverse of the iterate's precision, which the precision
+derivative needs anyway. Because the Hessian only ever receives
+within-factor blocks, the precision support stays inside the
+factor-induced pattern at every iteration, and the optimizer asserts
+exactly that.
 
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
@@ -14,12 +17,13 @@ is about the pattern of stored nonzeros, which is checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .gaussian import MeanCovariance, MeanPrecision, convert
-from .kronmat import DimensionError, SymmetricMatrix, _vech_indices
+from .gaussian import MeanCovariance, MeanPrecision, _chol, _logdet_from_chol, convert
+from .kronmat import DimensionError, SymmetricMatrix, _vech_indices, _vech_position, half_len
 from .ngd import IterationTrace, NgdConfig, iterate_hybrid
 from .quadrature import ExpectationRule, default_rule, expect_weighted
 from .vloss import DerivativeBundle, LossFunctional
@@ -78,6 +82,16 @@ class FactorGraph:
                 )
         object.__setattr__(self, "factors", factors)
 
+    @cached_property
+    def _blocks(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
+        """Per factor, its index array and the ``np.ix_`` pair selecting its
+        block of a dense matrix; built on the first assembly."""
+        out = []
+        for f in self.factors:
+            idx = np.array(f.indices, dtype=np.intp)
+            out.append((idx, np.ix_(idx, idx)))
+        return tuple(out)
+
 
 def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
     """Lower-triangle (i, j) pairs, i >= j, that factors may populate.
@@ -97,17 +111,26 @@ def pattern_violations(
     prec: SymmetricMatrix, pattern: frozenset[tuple[int, int]]
 ) -> set[tuple[int, int]]:
     """Stored nonzeros of a precision half-vector lying outside the pattern."""
-    rows, cols = _vech_indices(prec.dim)
-    out = set()
-    for r, c, v in zip(rows, cols, prec.half):
-        if v != 0.0 and (int(r), int(c)) not in pattern:
-            out.add((int(r), int(c)))
-    return out
+    n = prec.dim
+    pairs = np.array(list(pattern), dtype=np.intp).reshape(-1, 2)
+    r, c = pairs[:, 0], pairs[:, 1]
+    # pairs off the stored lower triangle can match no stored entry
+    stored = (c >= 0) & (r >= c) & (r < n)
+    r, c = r[stored], c[stored]
+    allowed = np.zeros(half_len(n), dtype=bool)
+    allowed[_vech_position(r, c, n)] = True
+    bad = np.flatnonzero((prec.half != 0.0) & ~allowed)
+    rows, cols = _vech_indices(n)
+    return set(zip(rows[bad].tolist(), cols[bad].tolist()))
 
 
 def extract_marginal(q, indices) -> MeanCovariance:
     """Exact marginal over the given indices, via a dense solve for the
-    needed covariance columns."""
+    needed covariance columns.
+
+    This is the public one-off form; the optimizer does not call it, but
+    slices every factor's block from one covariance per iteration.
+    """
     q = convert(q, "mean_prec")
     idx = [int(i) for i in indices]
     if any(i < 0 or i >= q.dim for i in idx):
@@ -123,27 +146,30 @@ def extract_marginal(q, indices) -> MeanCovariance:
 
 
 def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, DerivativeBundle]:
-    """Loss value and derivative bundle by per-factor marginal expectations."""
+    """Loss value and derivative bundle by per-factor marginal expectations.
+
+    The marginals are blocks of one covariance, so the precision is
+    inverted once per call, and ln|prec| comes from its cached factor.
+    """
     q = convert(q, "mean_prec")
     n = graph.dim
+    sigma = np.linalg.inv(q.prec.full())
+    sigma = 0.5 * (sigma + sigma.T)
     grad_mu = np.zeros(n)
     hess_mu = np.zeros((n, n))
     total = 0.0
-    for f in graph.factors:
-        idx = list(f.indices)
-        marginal = extract_marginal(q, idx)
-        prec_k = np.linalg.inv(marginal.cov.full())
+    for f, (idx, block) in zip(graph.factors, graph._blocks):
+        cov_k = sigma[block]
+        chol_k = _chol(cov_k, f"marginal covariance of factor {f.id!r}")
+        prec_k = np.linalg.inv(cov_k)
         prec_k = 0.5 * (prec_k + prec_k.T)
-        scalar, vector, matrix = expect_weighted(rule, marginal, f.local_phi)
+        scalar, vector, matrix = expect_weighted(rule, (q.mean[idx], chol_k), f.local_phi)
         local_grad = prec_k @ vector
         local_hess = prec_k @ matrix @ prec_k - prec_k * scalar
         local_hess = 0.5 * (local_hess + local_hess.T)
         grad_mu[idx] += local_grad
-        hess_mu[np.ix_(idx, idx)] += local_hess
+        hess_mu[block] += local_hess
         total += scalar
-    sign, logdet_prec = np.linalg.slogdet(q.prec.full())
-    sigma = np.linalg.inv(q.prec.full())
-    sigma = 0.5 * (sigma + sigma.T)
     grad_prec = 0.5 * sigma - 0.5 * sigma @ hess_mu @ sigma
     grad_prec = 0.5 * (grad_prec + grad_prec.T)
     bundle = DerivativeBundle(
@@ -151,7 +177,7 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
         SymmetricMatrix.from_full(hess_mu),
         SymmetricMatrix.from_full(grad_prec),
     )
-    return total + 0.5 * float(logdet_prec), bundle
+    return total + 0.5 * _logdet_from_chol(q.chol), bundle
 
 
 def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:

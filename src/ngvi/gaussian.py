@@ -184,23 +184,28 @@ def convert(g, target: str):
     return NaturalForm(prec @ mean_of(g), SymmetricMatrix.from_full(prec))
 
 
-def log_pdf(g, x) -> float:
-    """Log density at x, computed via the cached Cholesky factor."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+def log_pdf(g, x):
+    """Log density at x, computed via the cached Cholesky factor.
+
+    A point of length n gives a float; an (m, n) array of points gives the
+    m log densities as an array.
+    """
+    x = np.asarray(x, dtype=float)
+    points = x if x.ndim == 2 else x.reshape(1, -1)
     n = g.dim
-    if x.shape[0] != n:
-        raise DimensionError(f"point has length {x.shape[0]}, expected {n}")
-    delta = x - mean_of(g)
+    if points.shape[1] != n:
+        raise DimensionError(f"point has length {points.shape[1]}, expected {n}")
+    delta = points - mean_of(g)
     if isinstance(g, MeanCovariance):
-        w = np.linalg.solve(g.chol, delta)
-        quad = float(w @ w)
+        w = np.linalg.solve(g.chol, delta.T)
         logdet_cov = _logdet_from_chol(g.chol)
     else:
         # chol factors the precision
-        w = g.chol.T @ delta
-        quad = float(w @ w)
+        w = g.chol.T @ delta.T
         logdet_cov = -_logdet_from_chol(g.chol)
-    return -0.5 * (quad + logdet_cov + n * _LOG_2PI)
+    quad = np.einsum("ij,ij->j", w, w)
+    values = -0.5 * (quad + logdet_cov + n * _LOG_2PI)
+    return values if x.ndim == 2 else float(values[0])
 
 
 def kl(q, p) -> float:
@@ -228,11 +233,18 @@ def sample(g, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    mu = mean_of(g)
+    return _draw(mean_of(g), _cov_chol(g), count, seed)
+
+
+def _cov_chol(g) -> np.ndarray:
+    """Lower Cholesky factor of the covariance of any form."""
     if isinstance(g, MeanCovariance):
-        chol_cov = g.chol
-    else:
-        chol_cov = _chol(cov_of(g), "covariance")
+        return g.chol
+    return _chol(cov_of(g), "covariance")
+
+
+def _draw(mean: np.ndarray, chol_cov: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """``count`` draws mean + L z, with L the covariance's lower Cholesky factor."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, g.dim))
-    return mu + z @ chol_cov.T
+    z = rng.standard_normal((count, mean.shape[0]))
+    return mean + z @ chol_cov.T

@@ -10,12 +10,14 @@ into the weights so they sum to 1 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import gaussian
-from .gaussian import cov_of, mean_of
+from .gaussian import mean_of
 
 __all__ = ["ExpectationRule", "EvaluationError", "default_rule", "expect_scalar", "expect_weighted"]
 
@@ -61,39 +63,54 @@ def default_rule(dim: int) -> ExpectationRule:
     return ExpectationRule("monte_carlo", 10_000)
 
 
-def _evaluation_points(rule: ExpectationRule, g) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _gh_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor nodes sqrt(2) xi of shape (order^dim, dim) and weights summing
+    to 1, built once per (order, dim); both arrays are read-only."""
+    xi, wi = np.polynomial.hermite.hermgauss(order)
+    grids = np.meshgrid(*([xi] * dim), indexing="ij")
+    nodes = np.stack([grid.reshape(-1) for grid in grids], axis=1)
+    wgrids = np.meshgrid(*([wi] * dim), indexing="ij")
+    weights = np.ones(nodes.shape[0])
+    for wgrid in wgrids:
+        weights = weights * wgrid.reshape(-1)
+    weights = weights / weights.sum()
+    nodes = np.sqrt(2.0) * nodes
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _mean_and_chol(g) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and lower Cholesky factor of the covariance of ``g``: a Gaussian
+    in any form, or such a (mean, factor) pair passed through as is."""
+    if isinstance(g, tuple):
+        return g
+    return mean_of(g), gaussian._cov_chol(g)
+
+
+def _evaluation_points(
+    rule: ExpectationRule, mu: np.ndarray, chol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation points (n_pts, dim) and probability weights summing to 1."""
-    mu = mean_of(g)
     n = mu.shape[0]
     if rule.kind == "monte_carlo":
-        points = gaussian.sample(g, rule.order, rule.seed)
+        points = gaussian._draw(mu, chol, rule.order, rule.seed)
         weights = np.full(rule.order, 1.0 / rule.order)
         return points, weights
     if rule.order**n > rule.point_budget:
         raise ValueError(
             f"tensor grid of {rule.order}^{n} points exceeds budget {rule.point_budget}"
         )
-    xi, wi = np.polynomial.hermite.hermgauss(rule.order)
-    grids = np.meshgrid(*([xi] * n), indexing="ij")
-    nodes = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-    wgrids = np.meshgrid(*([wi] * n), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wgrid in wgrids:
-        weights = weights * wgrid.reshape(-1)
-    weights = weights / weights.sum()
-    if isinstance(g, gaussian.MeanCovariance):
-        chol = g.chol
-    else:
-        chol = np.linalg.cholesky(cov_of(g))
-    points = mu + (np.sqrt(2.0) * nodes) @ chol.T
-    return points, weights
+    nodes, weights = _gh_grid(rule.order, n)
+    return mu + nodes @ chol.T, weights
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
     values = np.empty(points.shape[0])
     for i, x in enumerate(points):
         values[i] = f(x)
-        if not np.isfinite(values[i]):
+        if not math.isfinite(values[i]):
             raise EvaluationError(
                 f"integrand returned {values[i]!r} at node {x.tolist()}", node=x.copy()
             )
@@ -102,7 +119,7 @@ def _evaluate(f, points: np.ndarray) -> np.ndarray:
 
 def expect_scalar(rule: ExpectationRule, g, f) -> float:
     """E_q[f(x)] under the given rule."""
-    points, weights = _evaluation_points(rule, g)
+    points, weights = _evaluation_points(rule, *_mean_and_chol(g))
     return float(weights @ _evaluate(f, points))
 
 
@@ -111,12 +128,15 @@ def expect_weighted(rule: ExpectationRule, g, f) -> tuple[float, np.ndarray, np.
 
     The scalar slot is computed exactly as ``expect_scalar`` would, so the
     two agree bit for bit under the same rule. The matrix moment is
-    symmetrized on output.
+    symmetrized on output. ``g`` is a Gaussian in any form, or a pair
+    (mean, lower Cholesky factor of the covariance), which is how the
+    factored assembly passes each factor's marginal without building one.
     """
-    points, weights = _evaluation_points(rule, g)
+    mu, chol = _mean_and_chol(g)
+    points, weights = _evaluation_points(rule, mu, chol)
     values = _evaluate(f, points)
     scalar = float(weights @ values)
-    centered = points - mean_of(g)
+    centered = points - mu
     weighted = weights * values
     vector = centered.T @ weighted
     matrix = (centered * weighted[:, None]).T @ centered

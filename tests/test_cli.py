@@ -163,6 +163,30 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_indefinite_marginal_names_factor(tmp_path, capsys):
+    # The initial precision passes its Cholesky, but it is so close to
+    # singular that the LU inverse rounds the variance of x1 negative, under
+    # either rounding of the elimination step (with or without FMA).
+    a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
+    quad = {"kind": "gaussian_quadratic", "m": [0.0], "P": [[1.0]]}
+    raw = {
+        "schema": "ngvi-problem/1",
+        "name": "near_singular",
+        "dimension": 2,
+        "init": {"form": "mean_precision", "mean": [0.0, 0.0], "matrix_vech": [a, b, c]},
+        "factors": [
+            {"id": "x1", "indices": [1], "phi": quad},
+            {"id": "pair", "indices": [0, 1],
+             "phi": {"kind": "gaussian_quadratic", "m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}},
+        ],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "factor 'x1'" in err and "not positive definite" in err
+
+
 def test_zero_max_iters_override_exits_one(capsys, tmp_path):
     assert main(["run", "scalar_gaussian", "-o", str(tmp_path), "--max-iters", "0"]) == 1
     assert "max_iters" in capsys.readouterr().err

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd
+from ngvi.cli import build_phi, load_problem
 from ngvi.factors import (
     Factor,
     FactorGraph,
@@ -16,10 +20,10 @@ from ngvi.factors import (
     sparsity_pattern,
     total_phi,
 )
-from ngvi.gaussian import MeanPrecision, convert
-from ngvi.kronmat import SymmetricMatrix
+from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
+from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
 from ngvi.ngd import NgdConfig
-from ngvi.quadrature import ExpectationRule
+from ngvi.quadrature import ExpectationRule, expect_weighted
 from ngvi.vloss import LossFunctional, value_and_derivatives
 
 RULE5 = ExpectationRule("gauss_hermite", 5)
@@ -78,6 +82,40 @@ def test_pattern_violations_detects_fill_in():
     assert pattern_violations(tridiag, pattern) == set()
 
 
+def reference_pattern_violations(prec, pattern):
+    """The element-by-element loop the vectorized check replaced."""
+    rows, cols = _vech_indices(prec.dim)
+    out = set()
+    for r, c, v in zip(rows, cols, prec.half):
+        if v != 0.0 and (int(r), int(c)) not in pattern:
+            out.add((int(r), int(c)))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_pattern_violations_matches_reference_loop(dim, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = _vech_indices(dim)
+    # a random lower-triangle pattern, plus pairs the check must ignore:
+    # upper-triangle, out-of-range and negative ones
+    keep = rng.random(rows.shape[0]) < rng.random()
+    pattern = {(int(r), int(c)) for r, c, k in zip(rows, cols, keep) if k}
+    pattern |= {(0, dim), (dim, 0), (dim + 2, dim + 1), (-1, 0), (0, -1)}
+    pattern = frozenset(pattern)
+    half = rng.standard_normal(half_len(dim))
+    kind = rng.integers(3, size=half.shape[0])
+    half[kind == 1] = 0.0
+    half[kind == 2] = -0.0
+    # fill-in on the diagonal band: the diagonal and first subdiagonal
+    band = (rows - cols <= 1) & (rng.random(rows.shape[0]) < 0.5)
+    half[band] = rng.standard_normal(int(band.sum()))
+    prec = SymmetricMatrix(dim, half)
+    found = pattern_violations(prec, pattern)
+    assert found == reference_pattern_violations(prec, pattern)
+    assert all(type(r) is int and type(c) is int for r, c in found)
+
+
 def test_extract_marginal_diagonal_example():
     # prec = diag(2, 4): marginal of variable 1 is N(mu1, 1/4)
     q = MeanPrecision.from_dense([1.0, -1.0], np.diag([2.0, 4.0]))
@@ -101,6 +139,96 @@ def test_extract_marginal_rejects_bad_index():
     q = MeanPrecision.from_dense([0.0], [[1.0]])
     with pytest.raises(ValueError):
         extract_marginal(q, [1])
+
+
+def reference_assemble(graph, q, rule):
+    """One dense solve per factor through the public extract_marginal: the
+    per-factor assembly that slicing one covariance replaced."""
+    n = graph.dim
+    grad_mu = np.zeros(n)
+    hess_mu = np.zeros((n, n))
+    total = 0.0
+    for f in graph.factors:
+        idx = list(f.indices)
+        marginal = extract_marginal(q, idx)
+        prec_k = np.linalg.inv(marginal.cov.full())
+        prec_k = 0.5 * (prec_k + prec_k.T)
+        scalar, vector, matrix = expect_weighted(rule, marginal, f.local_phi)
+        local_hess = prec_k @ matrix @ prec_k - prec_k * scalar
+        grad_mu[idx] += prec_k @ vector
+        hess_mu[np.ix_(idx, idx)] += 0.5 * (local_hess + local_hess.T)
+        total += scalar
+    sigma = np.linalg.inv(q.prec.full())
+    sigma = 0.5 * (sigma + sigma.T)
+    grad_prec = 0.5 * sigma - 0.5 * sigma @ hess_mu @ sigma
+    value = total + 0.5 * np.linalg.slogdet(q.prec.full())[1]
+    return value, grad_mu, hess_mu, 0.5 * (grad_prec + grad_prec.T)
+
+
+def random_phi_params(kind, arity, rng):
+    if kind == "gaussian_quadratic":
+        return {"m": rng.standard_normal(arity).tolist(), "P": random_spd(arity, rng).tolist()}
+    if kind == "logistic_bernoulli":
+        return {"feature": rng.standard_normal(arity).tolist(), "label": int(rng.integers(2))}
+    if kind == "nonlinear_range":
+        params = {"distance": rng.uniform(0.5, 3.0), "variance": rng.uniform(0.1, 1.0)}
+        if arity == 2:
+            params["landmark"] = rng.standard_normal(2).tolist()
+        return params
+    return {"coefficients": rng.standard_normal(int(rng.integers(3, 6))).tolist()}
+
+
+KINDS_BY_ARITY = {
+    1: ("gaussian_quadratic", "logistic_bernoulli", "polynomial"),
+    2: ("gaussian_quadratic", "logistic_bernoulli", "nonlinear_range"),
+    3: ("gaussian_quadratic", "logistic_bernoulli"),
+    4: ("gaussian_quadratic", "logistic_bernoulli", "nonlinear_range"),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_assemble_matches_per_factor_marginals(data):
+    dim = data.draw(st.integers(2, 8), label="dim")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rules = [RULE5, ExpectationRule("gauss_hermite", 3), ExpectationRule("monte_carlo", 64, seed=3)]
+    rule = data.draw(st.sampled_from(rules), label="rule")
+    rng = np.random.default_rng(seed)
+    factor_list = []
+    for k in range(data.draw(st.integers(1, 6), label="factors")):
+        arity = data.draw(st.integers(1, min(4, dim)), label="arity")
+        kind = data.draw(st.sampled_from(KINDS_BY_ARITY[arity]), label="kind")
+        indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        phi = build_phi(kind, random_phi_params(kind, arity, rng), arity, f"f{k}")
+        factor_list.append(Factor(f"f{k}", indices, phi))
+    graph = FactorGraph(dim, tuple(factor_list))
+    q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
+    value, bundle = factors._assemble(graph, q, rule)
+    ref_value, ref_grad, ref_hess, ref_grad_prec = reference_assemble(graph, q, rule)
+
+    def close(found, expected):
+        return np.max(np.abs(found - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+    assert close(bundle.grad_mu, ref_grad)
+    assert close(bundle.hess_mu.full(), ref_hess)
+    assert close(bundle.grad_prec.full(), ref_grad_prec)
+    public = assemble(graph, q, rule)
+    assert np.array_equal(public.grad_mu, bundle.grad_mu)
+    assert np.array_equal(public.hess_mu.half, bundle.hess_mu.half)
+
+
+def test_assembly_builds_no_per_factor_marginal(monkeypatch):
+    spec = load_problem("range_slam_toy")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the assembly built a per-factor marginal")
+
+    monkeypatch.setattr(factors, "extract_marginal", forbidden)
+    monkeypatch.setattr(MeanCovariance, "__post_init__", forbidden)
+    value, bundle = factors._assemble(spec.graph, spec.init, spec.rule)
+    assert np.isfinite(value)
+    assert np.all(np.isfinite(bundle.hess_mu.half))
 
 
 def test_single_full_factor_matches_unfactored_loss():
@@ -193,8 +321,11 @@ def test_optimizer_preserves_sparsity_pattern():
 
 def test_optimizer_rejects_initial_pattern_violation():
     q0 = MeanPrecision.from_dense(np.zeros(4), np.eye(4) + 0.1)
-    with pytest.raises(SparsityError):
+    with pytest.raises(SparsityError) as excinfo:
         optimize_factored(chain_graph(), q0, NgdConfig(rule=RULE5))
+    assert str(excinfo.value) == (
+        "precision has nonzeros outside the factor pattern at [(2, 0), (3, 0), (3, 1)]"
+    )
 
 
 def test_optimizer_rejects_dimension_mismatch():

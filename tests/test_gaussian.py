@@ -81,6 +81,21 @@ def test_log_pdf_agrees_across_forms():
     assert np.allclose(vals, vals[0], atol=1e-12)
 
 
+def test_log_pdf_of_a_batch_matches_each_point():
+    rng = np.random.default_rng(12)
+    g = random_gaussian(3, rng)
+    xs = rng.standard_normal((50, 3))
+    for tag in ("mean_cov", "mean_prec", "natural"):
+        form = convert(g, tag)
+        batch = log_pdf(form, xs)
+        assert batch.shape == (50,)
+        single = [log_pdf(form, x) for x in xs]
+        assert all(isinstance(v, float) for v in single)
+        assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionError):
+        log_pdf(g, xs[:, :2])
+
+
 def test_log_pdf_integrates_to_density_values():
     # direct dense formula as oracle
     rng = np.random.default_rng(3)
@@ -132,7 +147,7 @@ def test_kl_monte_carlo_oracle():
     q = random_gaussian(2, rng)
     p = random_gaussian(2, rng)
     xs = sample(q, 200_000, seed=7)
-    est = np.mean([log_pdf(q, x) - log_pdf(p, x) for x in xs])
+    est = np.mean(log_pdf(q, xs) - log_pdf(p, xs))
     assert np.isclose(est, kl(q, p), atol=0.05 * max(1.0, kl(q, p)))
 
 
