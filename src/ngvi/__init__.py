@@ -5,7 +5,7 @@ from .fim import fd_kl_hessian, fim, fim_inverse
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, convert, kl, log_pdf, sample
 from .kronmat import SymmetricMatrix, duplication, kron, mat, matf, sym, vec, vech
 from .ngd import NgdConfig, optimize, step_hybrid
-from .quadrature import ExpectationRule, expect_scalar, expect_weighted
+from .quadrature import ExpectationRule, expect_scalar, expect_weighted, pointwise
 from .verify import fd_check, step_canonical, step_generic
 from .vloss import DerivativeBundle, LossFunctional, derivatives, value
 
@@ -41,6 +41,7 @@ __all__ = [
     "ExpectationRule",
     "expect_scalar",
     "expect_weighted",
+    "pointwise",
     "DerivativeBundle",
     "LossFunctional",
     "derivatives",

@@ -120,7 +120,8 @@ def _numbers(value, where: str) -> np.ndarray:
 
 
 def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
-    """Build the scalar loss term of one factor from its serialized form.
+    """Build the loss term of one factor from its serialized form, as a
+    batched integrand: (P, n_indices) points to their P values.
 
     Every parameter must be present, numeric and finite; a malformed one
     raises ProblemError naming the factor and the field.
@@ -142,9 +143,9 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
         except AsymmetricMatrixError as exc:
             raise ProblemError(f"{field('P')}: {exc}") from None
 
-        def phi(u: np.ndarray) -> float:
+        def phi(u: np.ndarray) -> np.ndarray:
             d = u - m
-            return float(0.5 * d @ p @ d)
+            return np.einsum("pj,pj->p", 0.5 * d @ p, d)
 
         return phi
     if kind == "logistic_bernoulli":
@@ -156,9 +157,9 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
         if a.shape[0] != n_indices:
             raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
 
-        def phi(u: np.ndarray) -> float:
-            t = float(a @ u)
-            return float(np.logaddexp(0.0, t) - y * t)
+        def phi(u: np.ndarray) -> np.ndarray:
+            t = u @ a
+            return np.logaddexp(0.0, t) - y * t
 
         return phi
     if kind == "nonlinear_range":
@@ -176,8 +177,8 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
                     f"2 indices and a 2-vector landmark"
                 )
 
-            def phi(u: np.ndarray) -> float:
-                r = float(np.hypot(u[0] - point[0], u[1] - point[1]))
+            def phi(u: np.ndarray) -> np.ndarray:
+                r = np.hypot(u[:, 0] - point[0], u[:, 1] - point[1])
                 return (r - distance) ** 2 / (2.0 * variance)
 
             return phi
@@ -187,8 +188,8 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
                 f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
 
-        def phi(u: np.ndarray) -> float:
-            r = float(np.hypot(u[0] - u[2], u[1] - u[3]))
+        def phi(u: np.ndarray) -> np.ndarray:
+            r = np.hypot(u[:, 0] - u[:, 2], u[:, 1] - u[:, 3])
             return (r - distance) ** 2 / (2.0 * variance)
 
         return phi
@@ -199,8 +200,14 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
         if n_indices != 1:
             raise ProblemError(f"{owner}polynomial factors take 1 index")
 
-        def phi(u: np.ndarray) -> float:
-            return float(np.polynomial.polynomial.polyval(u[0], coeffs))
+        def phi(u: np.ndarray) -> np.ndarray:
+            # Horner's rule as np.polynomial.polynomial.polyval does it,
+            # without its per-call argument handling
+            x = u[:, 0]
+            value = coeffs[-1] + x * 0
+            for c in coeffs[-2::-1]:
+                value = c + value * x
+            return value
 
         return phi
     raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")

@@ -10,6 +10,14 @@ within-factor blocks, the precision support stays inside the
 factor-induced pattern at every iteration, and the optimizer asserts
 exactly that.
 
+A factor's ``local_phi`` is a batched integrand (see ``ngvi.quadrature``):
+it maps the (P, d) evaluation points of its marginal to their P values.
+The assembly groups factors by arity and sweeps each group in chunks of
+at most ``CHUNK_POINTS`` points: one stacked slice of the marginal
+blocks, one batched Cholesky factorization and inverse, one
+``expect_weighted`` call that calls each factor's ``local_phi`` once, and
+one scatter-add.
+
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
 """
@@ -22,10 +30,25 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import MeanCovariance, MeanPrecision, _chol, _logdet_from_chol, convert
+from .gaussian import (
+    MeanCovariance,
+    MeanPrecision,
+    NotPositiveDefiniteError,
+    _chol,
+    _logdet_from_chol,
+    convert,
+)
 from .kronmat import DimensionError, SymmetricMatrix, _vech_indices, _vech_position, half_len
 from .ngd import IterationTrace, NgdConfig, iterate_hybrid
-from .quadrature import ExpectationRule, default_rule, expect_weighted
+from .quadrature import (
+    EvaluationError,
+    ExpectationRule,
+    IntegrandShapeError,
+    _as_values,
+    default_rule,
+    expect_weighted,
+    _n_points,
+)
 from .vloss import DerivativeBundle, LossFunctional
 
 __all__ = [
@@ -39,7 +62,13 @@ __all__ = [
     "total_phi",
     "as_loss",
     "optimize_factored",
+    "CHUNK_POINTS",
 ]
+
+# Evaluation points per batched sweep of a group of equal-arity factors.
+# It bounds the stacked node arrays, so memory does not grow with the
+# graph; chunks of 4096 to 16384 points sweep equally fast.
+CHUNK_POINTS = 8192
 
 
 class SparsityError(RuntimeError):
@@ -48,11 +77,12 @@ class SparsityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """A loss term over the sub-vector selected by ``indices``."""
+    """A loss term over the sub-vector selected by ``indices``; its batched
+    ``local_phi`` maps (P, len(indices)) points to their P values."""
 
     id: str
     indices: tuple[int, ...]
-    local_phi: Callable[[np.ndarray], float]
+    local_phi: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         indices = tuple(int(i) for i in self.indices)
@@ -83,14 +113,16 @@ class FactorGraph:
         object.__setattr__(self, "factors", factors)
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
-        """Per factor, its index array and the ``np.ix_`` pair selecting its
-        block of a dense matrix; built on the first assembly."""
-        out = []
+    def _groups(self) -> tuple[tuple[tuple[Factor, ...], np.ndarray], ...]:
+        """The factors grouped by arity, groups in order of first
+        appearance and factors in graph order, each group with its (K, d)
+        index array; built on the first assembly."""
+        groups: dict[int, list[Factor]] = {}
         for f in self.factors:
-            idx = np.array(f.indices, dtype=np.intp)
-            out.append((idx, np.ix_(idx, idx)))
-        return tuple(out)
+            groups.setdefault(len(f.indices), []).append(f)
+        return tuple(
+            (tuple(fs), np.array([f.indices for f in fs], dtype=np.intp)) for fs in groups.values()
+        )
 
 
 def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
@@ -148,28 +180,40 @@ def extract_marginal(q, indices) -> MeanCovariance:
 def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, DerivativeBundle]:
     """Loss value and derivative bundle by per-factor marginal expectations.
 
-    The marginals are blocks of one covariance, so the precision is
-    inverted once per call, and ln|prec| comes from its cached factor.
+    The marginals are blocks of the iterate's one covariance, and
+    ln|prec| comes from its cached factor. Each chunk of an arity group
+    is swept by one ``expect_weighted`` call.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
-    sigma = np.linalg.inv(q.prec.full())
-    sigma = 0.5 * (sigma + sigma.T)
+    try:
+        sigma = q.covariance
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "the iterate's precision is singular: it has a Cholesky factor but no inverse"
+        ) from None
     grad_mu = np.zeros(n)
     hess_mu = np.zeros((n, n))
     total = 0.0
-    for f, (idx, block) in zip(graph.factors, graph._blocks):
-        cov_k = sigma[block]
-        chol_k = _chol(cov_k, f"marginal covariance of factor {f.id!r}")
-        prec_k = np.linalg.inv(cov_k)
-        prec_k = 0.5 * (prec_k + prec_k.T)
-        scalar, vector, matrix = expect_weighted(rule, (q.mean[idx], chol_k), f.local_phi)
-        local_grad = prec_k @ vector
-        local_hess = prec_k @ matrix @ prec_k - prec_k * scalar
-        local_hess = 0.5 * (local_hess + local_hess.T)
-        grad_mu[idx] += local_grad
-        hess_mu[block] += local_hess
-        total += scalar
+    try:
+        for group, idx in graph._groups:
+            per_chunk = max(1, CHUNK_POINTS // _n_points(rule, idx.shape[1]))
+            for start in range(0, len(group), per_chunk):
+                chunk = idx[start : start + per_chunk]
+                rows, cols = chunk[:, :, None], chunk[:, None, :]
+                cov = sigma[rows, cols]
+                chol = np.linalg.cholesky(cov)
+                prec = np.linalg.inv(cov)
+                prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+                phis = [f.local_phi for f in group[start : start + per_chunk]]
+                scalar, vector, matrix = expect_weighted(rule, (q.mean[chunk], chol), phis)
+                local_hess = prec @ matrix @ prec - prec * scalar[:, None, None]
+                np.add.at(grad_mu, chunk, np.einsum("kij,kj->ki", prec, vector))
+                np.add.at(hess_mu, (rows, cols), 0.5 * (local_hess + np.swapaxes(local_hess, 1, 2)))
+                total += float(scalar.sum())
+    except (np.linalg.LinAlgError, EvaluationError, IntegrandShapeError):
+        _raise_first_failure(graph, q.mean, sigma, rule)
+        raise
     grad_prec = 0.5 * sigma - 0.5 * sigma @ hess_mu @ sigma
     grad_prec = 0.5 * (grad_prec + grad_prec.T)
     bundle = DerivativeBundle(
@@ -180,16 +224,39 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     return total + 0.5 * _logdet_from_chol(q.chol), bundle
 
 
+def _raise_first_failure(
+    graph: FactorGraph, mean: np.ndarray, sigma: np.ndarray, rule: ExpectationRule
+) -> None:
+    """Sweep factor by factor in graph order and raise what the first
+    failing factor raises, with the factor named: a batch can fail at a
+    factor that another group's factor precedes."""
+    for f in graph.factors:
+        idx = np.array(f.indices, dtype=np.intp)
+        chol = _chol(sigma[np.ix_(idx, idx)], f"marginal covariance of factor {f.id!r}")
+        try:
+            expect_weighted(rule, (mean[idx], chol), f.local_phi)
+        except IntegrandShapeError as exc:
+            raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
+
+
 def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:
     """Global derivative bundle scatter-added from per-factor derivatives."""
     return _assemble(graph, q, rule)[1]
 
 
-def total_phi(graph: FactorGraph) -> Callable[[np.ndarray], float]:
-    """The summed loss over all factors, as a function of the full vector."""
+def total_phi(graph: FactorGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """The summed loss over all factors as a batched integrand of the full
+    vector: (P, n) points to their P values."""
 
-    def phi(x: np.ndarray) -> float:
-        return sum(f.local_phi(np.asarray(x, dtype=float)[list(f.indices)]) for f in graph.factors)
+    def phi(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape[0])
+        for f in graph.factors:
+            try:
+                total += _as_values(f.local_phi(x[:, list(f.indices)]), x.shape[0])
+            except IntegrandShapeError as exc:
+                raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
+        return total
 
     return phi
 

@@ -9,6 +9,7 @@ log-determinants come from the cached factor's pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -113,6 +114,14 @@ class MeanPrecision:
         """Lower Cholesky factor of the precision."""
         return self._chol
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Dense symmetrized covariance, inverted once on first use and
+        shared by every later caller (read-only)."""
+        cov = _inv_sym(self.prec.full())
+        cov.setflags(write=False)
+        return cov
+
 
 @dataclass(frozen=True, eq=False)
 class NaturalForm:
@@ -154,11 +163,13 @@ def _inv_sym(a: np.ndarray) -> np.ndarray:
 
 
 def cov_of(g) -> np.ndarray:
-    """Dense covariance of any form."""
+    """Dense covariance of any form; for a MeanPrecision, its shared
+    read-only ``covariance``."""
     if isinstance(g, MeanCovariance):
         return g.cov.full()
-    prec = g.prec.full() if isinstance(g, MeanPrecision) else g.eta2.full()
-    return _inv_sym(prec)
+    if isinstance(g, MeanPrecision):
+        return g.covariance
+    return _inv_sym(g.eta2.full())
 
 
 def prec_of(g) -> np.ndarray:
@@ -245,6 +256,9 @@ def _cov_chol(g) -> np.ndarray:
 
 def _draw(mean: np.ndarray, chol_cov: np.ndarray, count: int, seed: int) -> np.ndarray:
     """``count`` draws mean + L z, with L the covariance's lower Cholesky factor."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, mean.shape[0]))
-    return mean + z @ chol_cov.T
+    return mean + _standard_draws(count, mean.shape[0], seed) @ chol_cov.T
+
+
+def _standard_draws(count: int, dim: int, seed: int) -> np.ndarray:
+    """``count`` seeded standard normal draws of shape (count, dim)."""
+    return np.random.default_rng(seed).standard_normal((count, dim))

@@ -119,11 +119,14 @@ def step_hybrid(
 
 
 def _predicted_decrease(q, d: DerivativeBundle) -> float:
-    """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates."""
+    """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
+
+    The covariance is the iterate's shared one, which the assembly has
+    already inverted; tr(prod @ prod) is summed elementwise, in O(n^2).
+    """
     sigma = cov_of(q)
-    grad_prec = d.grad_prec.full()
-    prod = sigma @ grad_prec
-    return float(-0.5 * d.grad_mu @ (sigma @ d.grad_mu) - np.trace(prod @ prod))
+    prod = sigma @ d.grad_prec.full()
+    return float(-0.5 * d.grad_mu @ (sigma @ d.grad_mu) - np.sum(prod * prod.T))
 
 
 def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPrecision, IterationTrace]:

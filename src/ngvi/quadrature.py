@@ -3,14 +3,22 @@
 Computes E_q[f(x)] and the weighted moments E_q[(x - mu) f] and
 E_q[(x - mu)(x - mu)^T f] from one shared sweep of evaluation points.
 
-Gauss-Hermite nodes are whitened: x = mu + L (sqrt(2) xi) with L the
-Cholesky factor of the covariance, and the pi normalization is folded
-into the weights so they sum to 1 exactly.
+Integrands are batched: ``f(X)`` takes the (P, d) array of a Gaussian's
+evaluation points and returns their P values as a (P,) array. A scalar
+function of one point is adapted with ``pointwise``. Anything of another
+shape is refused rather than broadcast.
+
+Points are whitened: x = mu + L z, with L the Cholesky factor of the
+covariance and z standard nodes shared by every Gaussian of one
+dimension: sqrt(2) xi on the Gauss-Hermite tensor grid, whose pi
+normalization is folded into the weights so they sum to 1 exactly, or
+the rule's seeded standard normal draws. ``expect_weighted`` sweeps K
+Gaussians of one dimension at once, one integrand each; a single
+Gaussian is its K = 1 case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +27,15 @@ import numpy as np
 from . import gaussian
 from .gaussian import mean_of
 
-__all__ = ["ExpectationRule", "EvaluationError", "default_rule", "expect_scalar", "expect_weighted"]
+__all__ = [
+    "ExpectationRule",
+    "EvaluationError",
+    "IntegrandShapeError",
+    "default_rule",
+    "expect_scalar",
+    "expect_weighted",
+    "pointwise",
+]
 
 _KINDS = ("gauss_hermite", "monte_carlo")
 
@@ -30,6 +46,10 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, node: np.ndarray):
         super().__init__(message)
         self.node = node
+
+
+class IntegrandShapeError(ValueError):
+    """A batched integrand returned values of a shape other than (P,)."""
 
 
 @dataclass(frozen=True)
@@ -89,56 +109,82 @@ def _mean_and_chol(g) -> tuple[np.ndarray, np.ndarray]:
     return mean_of(g), gaussian._cov_chol(g)
 
 
-def _evaluation_points(
-    rule: ExpectationRule, mu: np.ndarray, chol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points (n_pts, dim) and probability weights summing to 1."""
-    n = mu.shape[0]
+def _n_points(rule: ExpectationRule, dim: int) -> int:
+    """Evaluation points per Gaussian of dimension ``dim`` under the rule."""
+    return rule.order if rule.kind == "monte_carlo" else rule.order**dim
+
+
+def _standard_points(rule: ExpectationRule, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard nodes z (P, dim) and probability weights summing to 1; a
+    Gaussian's points are mu + z L^T."""
+    count = _n_points(rule, dim)
     if rule.kind == "monte_carlo":
-        points = gaussian._draw(mu, chol, rule.order, rule.seed)
-        weights = np.full(rule.order, 1.0 / rule.order)
-        return points, weights
-    if rule.order**n > rule.point_budget:
+        return gaussian._standard_draws(count, dim, rule.seed), np.full(count, 1.0 / count)
+    if count > rule.point_budget:
         raise ValueError(
-            f"tensor grid of {rule.order}^{n} points exceeds budget {rule.point_budget}"
+            f"tensor grid of {rule.order}^{dim} points exceeds budget {rule.point_budget}"
         )
-    nodes, weights = _gh_grid(rule.order, n)
-    return mu + nodes @ chol.T, weights
+    return _gh_grid(rule.order, dim)
 
 
-def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    values = np.empty(points.shape[0])
-    for i, x in enumerate(points):
-        values[i] = f(x)
-        if not math.isfinite(values[i]):
-            raise EvaluationError(
-                f"integrand returned {values[i]!r} at node {x.tolist()}", node=x.copy()
-            )
+def pointwise(fn):
+    """The batched form of a scalar integrand ``fn(x) -> float``: one call per point."""
+    return lambda points: np.array([fn(x) for x in points], dtype=float)
+
+
+def _as_values(values, count: int) -> np.ndarray:
+    """The (count,) values of one batched call; any other shape raises."""
+    shape = np.shape(values)
+    if shape != (count,):
+        raise IntegrandShapeError(
+            f"integrand returned values of shape {shape} for {count} points, expected "
+            f"({count},); wrap a scalar integrand in ngvi.quadrature.pointwise"
+        )
+    return values
+
+
+def _evaluate(fs, points: np.ndarray) -> np.ndarray:
+    """Values (K, P): integrand k called once on its Gaussian's points
+    (P, d). The first non-finite value, in integrand then point order,
+    raises with its node."""
+    values = np.empty(points.shape[:2])
+    for k, f in enumerate(fs):
+        values[k] = _as_values(f(points[k]), values.shape[1])
+    if not np.isfinite(values).all():
+        k, i = np.unravel_index(np.flatnonzero(~np.isfinite(values))[0], values.shape)
+        x = points[k, i]
+        raise EvaluationError(f"integrand returned {values[k, i]!r} at node {x.tolist()}", node=x.copy())
     return values
 
 
 def expect_scalar(rule: ExpectationRule, g, f) -> float:
-    """E_q[f(x)] under the given rule."""
-    points, weights = _evaluation_points(rule, *_mean_and_chol(g))
-    return float(weights @ _evaluate(f, points))
+    """E_q[f(x)] under the given rule: the scalar slot of ``expect_weighted``."""
+    return expect_weighted(rule, g, f)[0]
 
 
-def expect_weighted(rule: ExpectationRule, g, f) -> tuple[float, np.ndarray, np.ndarray]:
+def expect_weighted(rule: ExpectationRule, g, f):
     """(E[f], E[(x - mu) f], E[(x - mu)(x - mu)^T f]) from one shared sweep.
 
-    The scalar slot is computed exactly as ``expect_scalar`` would, so the
-    two agree bit for bit under the same rule. The matrix moment is
-    symmetrized on output. ``g`` is a Gaussian in any form, or a pair
-    (mean, lower Cholesky factor of the covariance), which is how the
-    factored assembly passes each factor's marginal without building one.
+    ``g`` is a Gaussian in any form or a pair (mean, lower Cholesky factor
+    of the covariance), and ``f`` one batched integrand; the result is
+    (float, (d,), (d, d)). The stacked form takes a pair of K means
+    (K, d) and factors (K, d, d) and a sequence of K integrands, one per
+    Gaussian, and returns the three moments stacked: (K,), (K, d),
+    (K, d, d). This is how the factored assembly sweeps a group of factor
+    marginals at once without building any of them. The matrix moment is
+    symmetrized on output.
     """
-    mu, chol = _mean_and_chol(g)
-    points, weights = _evaluation_points(rule, mu, chol)
-    values = _evaluate(f, points)
-    scalar = float(weights @ values)
-    centered = points - mu
-    weighted = weights * values
-    vector = centered.T @ weighted
-    matrix = (centered * weighted[:, None]).T @ centered
-    matrix = 0.5 * (matrix + matrix.T)
+    if callable(f):
+        mu, chol = _mean_and_chol(g)
+        scalar, vector, matrix = expect_weighted(rule, (mu[None], chol[None]), (f,))
+        return float(scalar[0]), vector[0], matrix[0]
+    means, chols = g
+    z, weights = _standard_points(rule, means.shape[-1])
+    offsets = z @ np.swapaxes(chols, -1, -2)
+    values = _evaluate(f, means[:, None, :] + offsets)
+    scalar = values @ weights
+    weighted = values * weights
+    vector = np.einsum("kp,kpd->kd", weighted, offsets)
+    matrix = np.swapaxes(offsets * weighted[..., None], 1, 2) @ offsets
+    matrix = 0.5 * (matrix + np.swapaxes(matrix, 1, 2))
     return scalar, vector, matrix

@@ -30,7 +30,7 @@ from .fim import (
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_of, prec_of
 from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec
 from .ngd import step_hybrid
-from .quadrature import ExpectationRule
+from .quadrature import ExpectationRule, pointwise
 from .vloss import DerivativeBundle, LossFunctional, derivatives, value
 
 __all__ = [
@@ -296,7 +296,8 @@ def symmetry_equivalence() -> list[CheckResult]:
 
 def _relation_residual(phi, g, order: int) -> float:
     """max |grad_prec - (cov/2 - cov hess_mu cov/2)| under order-``order`` GH."""
-    bundle = derivatives(LossFunctional(g.dim, phi), g, ExpectationRule("gauss_hermite", order))
+    loss = LossFunctional(g.dim, pointwise(phi))
+    bundle = derivatives(loss, g, ExpectationRule("gauss_hermite", order))
     sigma = g.cov.full()
     relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
     return _resid(bundle.grad_prec.full(), relation)
@@ -358,7 +359,7 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
         return sum(q(x) for q in quadratics)
 
     q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    bundle = derivatives(LossFunctional(n, phi), q0, ExpectationRule("gauss_hermite", 5))
+    bundle = derivatives(LossFunctional(n, pointwise(phi)), q0, ExpectationRule("gauss_hermite", 5))
     q1 = step_hybrid(q0, bundle)
     return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
 
@@ -376,7 +377,9 @@ def one_step_exactness() -> list[CheckResult]:
 
 
 def _fd_worst(phi, g, order: int) -> float:
-    report = fd_check(LossFunctional(g.dim, phi), g, ExpectationRule("gauss_hermite", order))
+    report = fd_check(
+        LossFunctional(g.dim, pointwise(phi)), g, ExpectationRule("gauss_hermite", order)
+    )
     return max(report.grad_mu_error, report.hess_mu_error, report.grad_prec_error)
 
 

@@ -2,7 +2,10 @@
 
 V(q) = E_q[phi(x)] + (1/2) ln |prec|, with phi(x) the negative log joint
 likelihood; additive constants are dropped, so only differences of V are
-meaningful. The three derivative blocks
+meaningful. ``phi`` is a batched integrand (see ``ngvi.quadrature``): it
+maps a (P, n) array of points to their P values, and a scalar function
+of one point enters through ``quadrature.pointwise``. The three
+derivative blocks
 
     grad_mu   = prec @ E[(x - mu) phi]
     hess_mu   = prec @ E[(x - mu)(x - mu)^T phi] @ prec - prec * E[phi]
@@ -34,10 +37,11 @@ __all__ = ["LossFunctional", "DerivativeBundle", "value", "derivatives", "value_
 
 @dataclass(frozen=True, eq=False)
 class LossFunctional:
-    """phi(x) = -ln p(x, z), optionally carrying its factor decomposition."""
+    """phi(x) = -ln p(x, z), batched over the rows of x, optionally
+    carrying its factor decomposition."""
 
     dim: int
-    phi: Callable[[np.ndarray], float]
+    phi: Callable[[np.ndarray], np.ndarray]
     factorization: Any = None
 
     def __post_init__(self) -> None:

@@ -55,12 +55,12 @@ def test_build_phi_logistic():
     phi = build_phi("logistic_bernoulli", {"feature": [2.0], "label": 1}, 1, "obs")
     t = 0.7
     expected = np.logaddexp(0.0, 2.0 * t) - 2.0 * t
-    assert np.isclose(phi(np.array([t])), expected, atol=1e-14)
+    assert np.isclose(phi(np.array([[t]]))[0], expected, atol=1e-14)
 
 
 def test_build_phi_polynomial():
     phi = build_phi("polynomial", {"coefficients": [1.0, 0.0, 2.0]}, 1, "p")
-    assert np.isclose(phi(np.array([3.0])), 1.0 + 2.0 * 9.0, atol=1e-14)
+    assert np.isclose(phi(np.array([[3.0]]))[0], 1.0 + 2.0 * 9.0, atol=1e-14)
 
 
 def test_run_scalar_gaussian(tmp_path):
@@ -185,6 +185,33 @@ def test_indefinite_marginal_names_factor(tmp_path, capsys):
     assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "factor 'x1'" in err and "not positive definite" in err
+
+
+def test_singular_iterate_precision_is_named(tmp_path, capsys):
+    # [[2, 1], [1, 0.5]] is singular. Its Cholesky factorization passes:
+    # fl(1 / fl(sqrt 2))^2 < 0.5 leaves a positive pivot, with or without
+    # FMA. LU elimination meets an exact zero pivot: 0.5 - (1/2) * 1 = 0.
+    quad = {"kind": "gaussian_quadratic", "m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}
+    raw = {
+        "schema": "ngvi-problem/1",
+        "name": "singular_iterate",
+        "dimension": 3,
+        "init": {
+            "form": "mean_precision",
+            "mean": [0.0, 0.0, 0.0],
+            "matrix_vech": [2.0, 1.0, 0.0, 0.5, 0.0, 0.5],
+        },
+        "factors": [
+            {"id": "pair", "indices": [0, 1], "phi": quad},
+            {"id": "x2", "indices": [2], "phi": {"kind": "gaussian_quadratic", "m": [0.0], "P": [[1.0]]}},
+        ],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the iterate's precision is singular: it has a Cholesky factor but no inverse\n"
+    )
 
 
 def test_zero_max_iters_override_exits_one(capsys, tmp_path):

@@ -23,7 +23,14 @@ from ngvi.factors import (
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
 from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
 from ngvi.ngd import NgdConfig
-from ngvi.quadrature import ExpectationRule, expect_weighted
+from ngvi.quadrature import (
+    EvaluationError,
+    ExpectationRule,
+    IntegrandShapeError,
+    _gh_grid,
+    expect_weighted,
+    pointwise,
+)
 from ngvi.vloss import LossFunctional, value_and_derivatives
 
 RULE5 = ExpectationRule("gauss_hermite", 5)
@@ -37,7 +44,7 @@ def quadratic_phi(m, p):
         d = u - m
         return float(0.5 * d @ p @ d)
 
-    return phi
+    return pointwise(phi)
 
 
 def chain_graph():
@@ -51,16 +58,16 @@ def chain_graph():
 
 def test_factor_validation():
     with pytest.raises(ValueError):
-        Factor("empty", (), lambda u: 0.0)
+        Factor("empty", (), pointwise(lambda u: 0.0))
     with pytest.raises(ValueError):
-        Factor("repeat", (1, 1), lambda u: 0.0)
+        Factor("repeat", (1, 1), pointwise(lambda u: 0.0))
     with pytest.raises(ValueError):
-        Factor("negative", (-1,), lambda u: 0.0)
+        Factor("negative", (-1,), pointwise(lambda u: 0.0))
 
 
 def test_graph_rejects_out_of_range_index():
     with pytest.raises(ValueError):
-        FactorGraph(2, (Factor("f", (0, 2), lambda u: 0.0),))
+        FactorGraph(2, (Factor("f", (0, 2), pointwise(lambda u: 0.0)),))
 
 
 def test_sparsity_pattern_of_chain():
@@ -192,7 +199,12 @@ def test_assemble_matches_per_factor_marginals(data):
     dim = data.draw(st.integers(2, 8), label="dim")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rules = [RULE5, ExpectationRule("gauss_hermite", 3), ExpectationRule("monte_carlo", 64, seed=3)]
-    rule = data.draw(st.sampled_from(rules), label="rule")
+    # 400 extra arity-2 factors make a group larger than one chunk: 400 x 25
+    # GH-5 points or 400 x 64 draws, against CHUNK_POINTS = 8192
+    rule, extra = data.draw(
+        st.sampled_from([(rule, 0) for rule in rules] + [(rules[0], 400), (rules[2], 400)]),
+        label="rule, extra arity-2 factors",
+    )
     rng = np.random.default_rng(seed)
     factor_list = []
     for k in range(data.draw(st.integers(1, 6), label="factors")):
@@ -201,6 +213,11 @@ def test_assemble_matches_per_factor_marginals(data):
         indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
         phi = build_phi(kind, random_phi_params(kind, arity, rng), arity, f"f{k}")
         factor_list.append(Factor(f"f{k}", indices, phi))
+    for k in range(extra):
+        kind = KINDS_BY_ARITY[2][k % 3]
+        indices = tuple(int(i) for i in rng.choice(dim, 2, replace=False))
+        phi = build_phi(kind, random_phi_params(kind, 2, rng), 2, f"g{k}")
+        factor_list.append(Factor(f"g{k}", indices, phi))
     graph = FactorGraph(dim, tuple(factor_list))
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
     value, bundle = factors._assemble(graph, q, rule)
@@ -229,6 +246,96 @@ def test_assembly_builds_no_per_factor_marginal(monkeypatch):
     value, bundle = factors._assemble(spec.graph, spec.init, spec.rule)
     assert np.isfinite(value)
     assert np.all(np.isfinite(bundle.hess_mu.half))
+
+
+def scalar_phi(kind, params, u):
+    """The per-point formula of each ``build_phi`` kind."""
+    if kind == "gaussian_quadratic":
+        d = u - np.array(params["m"])
+        return float(0.5 * d @ np.array(params["P"]) @ d)
+    if kind == "logistic_bernoulli":
+        t = float(np.array(params["feature"]) @ u)
+        return float(np.logaddexp(0.0, t) - params["label"] * t)
+    if kind == "nonlinear_range":
+        other = params["landmark"] if "landmark" in params else u[2:]
+        r = float(np.hypot(u[0] - other[0], u[1] - other[1]))
+        return (r - params["distance"]) ** 2 / (2.0 * params["variance"])
+    return float(np.polynomial.polynomial.polyval(u[0], params["coefficients"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_kinds_match_scalar_formulas(data):
+    arity = data.draw(st.integers(1, 4), label="arity")
+    kind = data.draw(st.sampled_from(KINDS_BY_ARITY[arity]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = random_phi_params(kind, arity, rng)
+    scale = data.draw(st.sampled_from([0.1, 1.0, 5.0]), label="scale")
+    points = scale * rng.standard_normal((data.draw(st.integers(1, 40), label="points"), arity))
+    batched = build_phi(kind, params, arity, "f")(points)
+    expected = np.array([scalar_phi(kind, params, u) for u in points])
+    assert batched.shape == expected.shape
+    assert np.all(np.abs(batched - expected) <= 1e-14 * np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda u: 0.0, lambda u: u[:, :1], lambda u: u[1:, 0], lambda u: np.zeros(())],
+    ids=["python-float", "column", "short", "0-d"],
+)
+def test_integrand_of_wrong_shape_names_factor(bad):
+    odo = build_phi("gaussian_quadratic", {"m": [0.0, 1.0], "P": [[1.0, -1.0], [-1.0, 1.0]]}, 2, "odo")
+    graph = FactorGraph(
+        3,
+        (
+            Factor("prior", (0,), build_phi("polynomial", {"coefficients": [0.0, 0.0, 0.5]}, 1, "prior")),
+            Factor("odo", (0, 1), odo),
+            Factor("scalar", (1, 2), bad),
+        ),
+    )
+    q = MeanPrecision.from_dense(np.zeros(3), np.eye(3))
+    for call in (lambda: factors._assemble(graph, q, RULE5), lambda: total_phi(graph)(np.zeros((7, 3)))):
+        with pytest.raises(IntegrandShapeError, match="factor 'scalar'.*quadrature.pointwise"):
+            call()
+
+
+def per_point_error(q, f, rule):
+    """The message and node of the first non-finite value met by the
+    per-point loop that the batched sweep replaced."""
+    idx = list(f.indices)
+    sigma = np.linalg.inv(q.prec.full())
+    sigma = 0.5 * (sigma + sigma.T)
+    chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
+    nodes, _ = _gh_grid(rule.order, len(idx))
+    for x in q.mean[idx] + nodes @ chol.T:
+        value = f.local_phi(x[None])[0]
+        if not np.isfinite(value):
+            return f"integrand returned {value!r} at node {x.tolist()}", x
+    raise AssertionError("the factor returned no non-finite value")
+
+
+def test_nonfinite_value_reports_first_factor_in_graph_order():
+    # The arity-2 group is swept first and meets 'late' before 'early':
+    # the error must still be the one the per-point loop met, at 'early'.
+    def nan_beyond(threshold, column):
+        return lambda u: np.where(u[:, column] > threshold, np.nan, 0.5 * np.sum(u * u, axis=1))
+
+    fine = build_phi("gaussian_quadratic", {"m": [0.0, 0.0], "P": np.eye(2).tolist()}, 2, "fine")
+    graph = FactorGraph(
+        5,
+        (
+            Factor("fine", (0, 1), fine),
+            Factor("early", (1, 2, 3, 4), nan_beyond(0.4, 2)),
+            Factor("late", (3, 4), nan_beyond(0.1, 1)),
+        ),
+    )
+    rng = np.random.default_rng(8)
+    q = MeanPrecision.from_dense(rng.standard_normal(5) * 0.1, random_spd(5, rng))
+    message, node = per_point_error(q, graph.factors[1], RULE5)
+    with pytest.raises(EvaluationError) as excinfo:
+        factors._assemble(graph, q, RULE5)
+    assert str(excinfo.value) == message
+    assert np.array_equal(excinfo.value.node, node)
 
 
 def test_single_full_factor_matches_unfactored_loss():
@@ -310,7 +417,7 @@ def test_total_phi_sums_factors():
     for i in range(3):
         step = x[i + 1] - x[i] - 1.0
         expected += 0.5 * step**2
-    assert np.isclose(total_phi(graph)(x), expected, atol=1e-14)
+    assert np.isclose(total_phi(graph)(x[None])[0], expected, atol=1e-14)
 
 
 def test_optimizer_preserves_sparsity_pattern():

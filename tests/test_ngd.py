@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ngvi._testing import random_gaussian, random_spd, random_symmetric
+from ngvi.cli import load_problem
+from ngvi.factors import optimize_factored
 from ngvi.fim import fim_inverse
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
 from ngvi.kronmat import duplication, matf, vec
@@ -11,11 +13,12 @@ from ngvi.ngd import (
     ConfigError,
     IndefiniteHessianError,
     NgdConfig,
+    _predicted_decrease,
     iterate_hybrid,
     optimize,
     step_hybrid,
 )
-from ngvi.quadrature import ExpectationRule
+from ngvi.quadrature import ExpectationRule, pointwise
 from ngvi.verify import natural_delta, step_canonical, step_generic
 from ngvi.vloss import DerivativeBundle, LossFunctional, derivatives, value_and_derivatives
 from ngvi.kronmat import SymmetricMatrix
@@ -31,7 +34,7 @@ def quadratic_loss(m, p):
         d = x - m
         return float(0.5 * d @ p @ d)
 
-    return LossFunctional(m.shape[0], phi)
+    return LossFunctional(m.shape[0], pointwise(phi))
 
 
 def test_config_validation():
@@ -219,7 +222,7 @@ def test_optimize_restart_converges_without_moving():
 
 
 def test_optimize_trace_values_non_increasing():
-    g_loss = LossFunctional(1, lambda x: float(np.logaddexp(0.0, 2.0 * x[0]) + 0.5 * x[0] ** 2))
+    g_loss = LossFunctional(1, pointwise(lambda x: float(np.logaddexp(0.0, 2.0 * x[0]) + 0.5 * x[0] ** 2)))
     q0 = MeanPrecision.from_dense([2.0], [[0.5]])
     cfg = NgdConfig(rule=ExpectationRule("gauss_hermite", 15))
     _, trace = optimize(g_loss, q0, cfg)
@@ -231,12 +234,47 @@ def test_optimize_trace_values_non_increasing():
 
 
 def test_optimize_respects_max_iters():
-    g_loss = LossFunctional(1, lambda x: float(np.logaddexp(0.0, 2.0 * x[0]) + 0.5 * x[0] ** 2))
+    g_loss = LossFunctional(1, pointwise(lambda x: float(np.logaddexp(0.0, 2.0 * x[0]) + 0.5 * x[0] ** 2)))
     q0 = MeanPrecision.from_dense([2.0], [[0.5]])
     cfg = NgdConfig(max_iters=2, rule=ExpectationRule("gauss_hermite", 15))
     _, trace = optimize(g_loss, q0, cfg)
     assert not trace.converged
     assert len(trace) == 3  # iterations 0, 1, 2
+
+
+def test_predicted_decrease_matches_the_trace_formula():
+    # the O(n^3) trace of a product that the elementwise sum replaced
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        q = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
+        bundle = DerivativeBundle(
+            rng.standard_normal(n),
+            SymmetricMatrix.from_full(random_spd(n, rng)),
+            SymmetricMatrix.from_full(random_symmetric(n, rng)),
+        )
+        sigma = np.linalg.inv(q.prec.full())
+        sigma = 0.5 * (sigma + sigma.T)
+        prod = sigma @ bundle.grad_prec.full()
+        old = float(-0.5 * bundle.grad_mu @ (sigma @ bundle.grad_mu) - np.trace(prod @ prod))
+        assert abs(_predicted_decrease(q, bundle) - old) <= 1e-12 * abs(old)
+
+
+def test_factored_run_inverts_one_dense_precision_per_iteration(monkeypatch):
+    spec = load_problem("linear_chain")
+    n = spec.dimension
+    dense = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        if np.shape(a) == (n, n):
+            dense.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    _, trace = optimize_factored(spec.graph, spec.init, spec.config)
+    assert trace.converged and len(trace.records) >= 2
+    assert len(dense) == len(trace.records)
 
 
 def test_predicted_decrease_is_nonpositive():
@@ -276,7 +314,7 @@ def test_bimodal_target_mirrored_starts():
     # keeps the wells deep enough that the entropy term does not merge
     # them); tight mirrored starts converge to the corresponding local
     # solution
-    loss = LossFunctional(1, lambda x: float(10.0 * (x[0] ** 2 - 1.0) ** 2))
+    loss = LossFunctional(1, pointwise(lambda x: float(10.0 * (x[0] ** 2 - 1.0) ** 2)))
     cfg = NgdConfig(rule=ExpectationRule("gauss_hermite", 15), max_iters=200)
     means = []
     for start in (0.8, -0.8):

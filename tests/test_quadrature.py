@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from ngvi._testing import random_gaussian
-from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
+from ngvi.gaussian import MeanCovariance, MeanPrecision, _draw, convert
 from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
+    IntegrandShapeError,
+    _gh_grid,
     default_rule,
     expect_scalar,
     expect_weighted,
+    pointwise,
 )
 
 
@@ -36,14 +39,14 @@ def test_point_budget_enforced():
     rule = ExpectationRule("gauss_hermite", order=20, point_budget=100)
     g = MeanCovariance.from_dense([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
-        expect_scalar(rule, g, lambda x: 0.0)
+        expect_scalar(rule, g, pointwise(lambda x: 0.0))
 
 
 def test_constant_integrand():
     rng = np.random.default_rng(0)
     g = random_gaussian(2, rng)
     rule = ExpectationRule("gauss_hermite", 5)
-    scalar, vector, matrix = expect_weighted(rule, g, lambda x: 1.0)
+    scalar, vector, matrix = expect_weighted(rule, g, pointwise(lambda x: 1.0))
     assert np.isclose(scalar, 1.0, atol=1e-14)
     assert np.allclose(vector, 0.0, atol=1e-12)
     assert np.allclose(matrix, g.cov.full(), atol=1e-12)
@@ -56,7 +59,7 @@ def test_polynomial_exactness_1d():
     rule = ExpectationRule("gauss_hermite", 3)
     # E[x^4] for N(mu, var)
     expected = mu**4 + 6.0 * mu**2 * var + 3.0 * var**2
-    found = expect_scalar(rule, g, lambda x: x[0] ** 4)
+    found = expect_scalar(rule, g, pointwise(lambda x: x[0] ** 4))
     assert np.isclose(found, expected, rtol=1e-13)
 
 
@@ -66,7 +69,7 @@ def test_polynomial_exactness_2d_cross_moment():
     g = MeanCovariance.from_dense(mu, sigma)
     rule = ExpectationRule("gauss_hermite", 4)
     # E[x0 x1] = mu0 mu1 + Sigma01
-    found = expect_scalar(rule, g, lambda x: x[0] * x[1])
+    found = expect_scalar(rule, g, pointwise(lambda x: x[0] * x[1]))
     assert np.isclose(found, mu[0] * mu[1] + sigma[0, 1], rtol=1e-13)
 
 
@@ -74,7 +77,7 @@ def test_weights_are_normalized_at_every_order():
     g = MeanCovariance.from_dense([0.0], [[1.0]])
     for order in range(1, 21):
         rule = ExpectationRule("gauss_hermite", order)
-        assert np.isclose(expect_scalar(rule, g, lambda x: 1.0), 1.0, atol=1e-14)
+        assert np.isclose(expect_scalar(rule, g, pointwise(lambda x: 1.0)), 1.0, atol=1e-14)
 
 
 def test_shared_sweep_scalar_is_bit_identical():
@@ -85,8 +88,8 @@ def test_shared_sweep_scalar_is_bit_identical():
     def f(x):
         return float(np.sin(x[0]) + x[1] ** 2 - 0.3 * x[2])
 
-    scalar_only = expect_scalar(rule, g, f)
-    scalar_shared, _, _ = expect_weighted(rule, g, f)
+    scalar_only = expect_scalar(rule, g, pointwise(f))
+    scalar_shared, _, _ = expect_weighted(rule, g, pointwise(f))
     assert scalar_only == scalar_shared
 
 
@@ -94,7 +97,7 @@ def test_weighted_matrix_is_symmetric():
     rng = np.random.default_rng(2)
     g = random_gaussian(3, rng)
     rule = ExpectationRule("gauss_hermite", 5)
-    _, _, matrix = expect_weighted(rule, g, lambda x: float(np.exp(0.1 * x[0])))
+    _, _, matrix = expect_weighted(rule, g, pointwise(lambda x: float(np.exp(0.1 * x[0]))))
     assert np.array_equal(matrix, matrix.T)
 
 
@@ -106,8 +109,8 @@ def test_precision_form_gives_same_answer():
     def f(x):
         return float(np.cos(x[0]) * x[1])
 
-    a = expect_scalar(rule, g, f)
-    b = expect_scalar(rule, convert(g, "mean_prec"), f)
+    a = expect_scalar(rule, g, pointwise(f))
+    b = expect_scalar(rule, convert(g, "mean_prec"), pointwise(f))
     assert np.isclose(a, b, atol=1e-13)
 
 
@@ -116,7 +119,7 @@ def test_monte_carlo_determinism():
     g = random_gaussian(2, rng)
     rule = ExpectationRule("monte_carlo", 500, seed=9)
     f = lambda x: float(x[0] ** 2)
-    assert expect_scalar(rule, g, f) == expect_scalar(rule, g, f)
+    assert expect_scalar(rule, g, pointwise(f)) == expect_scalar(rule, g, pointwise(f))
 
 
 def test_monte_carlo_unbiasedness():
@@ -126,7 +129,7 @@ def test_monte_carlo_unbiasedness():
     per_seed = []
     for seed in range(50):
         rule = ExpectationRule("monte_carlo", 2000, seed=seed)
-        per_seed.append(expect_scalar(rule, g, lambda x: x[0] ** 2))
+        per_seed.append(expect_scalar(rule, g, pointwise(lambda x: x[0] ** 2)))
     per_seed = np.array(per_seed)
     stderr = per_seed.std(ddof=1) / np.sqrt(len(per_seed))
     assert abs(per_seed.mean() - truth) < 4.0 * stderr
@@ -140,5 +143,66 @@ def test_nonfinite_integrand_raises_with_node():
         return np.inf if x[0] > 0 else 0.0
 
     with pytest.raises(EvaluationError) as excinfo:
-        expect_scalar(rule, g, bad)
+        expect_scalar(rule, g, pointwise(bad))
     assert excinfo.value.node.shape == (1,)
+
+
+def stacked_gaussians(k, d, rng):
+    gs = [random_gaussian(d, rng) for _ in range(k)]
+    return gs, np.stack([g.mean for g in gs]), np.stack([g.chol for g in gs])
+
+
+@pytest.mark.parametrize(
+    "rule", [ExpectationRule("gauss_hermite", 4), ExpectationRule("monte_carlo", 300, seed=5)]
+)
+def test_stacked_sweep_matches_one_gaussian_at_a_time(rule):
+    rng = np.random.default_rng(12)
+    gs, means, chols = stacked_gaussians(5, 3, rng)
+    fs = [lambda x, a=a: np.sin(a * x[:, 0]) + x[:, 1] * x[:, 2] ** 2 for a in range(5)]
+    scalar, vector, matrix = expect_weighted(rule, (means, chols), fs)
+    assert scalar.shape == (5,) and vector.shape == (5, 3) and matrix.shape == (5, 3, 3)
+    for k, (g, f) in enumerate(zip(gs, fs)):
+        s1, v1, m1 = expect_weighted(rule, g, f)
+        assert abs(scalar[k] - s1) <= 1e-14 * abs(s1)
+        assert np.max(np.abs(vector[k] - v1)) <= 1e-14 * np.max(np.abs(v1))
+        assert np.max(np.abs(matrix[k] - m1)) <= 1e-14 * np.max(np.abs(m1))
+
+
+def test_stacked_monte_carlo_points_are_each_gaussians_draws():
+    # every Gaussian gets the draws gaussian._draw makes for it with the rule's seed
+    rng = np.random.default_rng(13)
+    gs, means, chols = stacked_gaussians(4, 2, rng)
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return np.zeros(x.shape[0])
+
+    rule = ExpectationRule("monte_carlo", 50, seed=21)
+    expect_weighted(rule, (means, chols), [record] * 4)
+    for points, g in zip(seen, gs):
+        assert np.array_equal(points, _draw(g.mean, g.chol, 50, 21))
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x, lambda x: x[:-1, 0]], ids=["scalar", "2-d", "short"])
+def test_integrand_of_wrong_shape_points_to_pointwise(f):
+    g = MeanCovariance.from_dense([0.0, 1.0], np.eye(2))
+    expected = "expected \\(25,\\); wrap a scalar integrand in ngvi.quadrature.pointwise"
+    with pytest.raises(IntegrandShapeError, match=expected):
+        expect_weighted(ExpectationRule("gauss_hermite", 5), g, f)
+
+
+def test_stacked_nonfinite_value_reports_first_integrand_then_point():
+    rng = np.random.default_rng(14)
+    _, means, chols = stacked_gaussians(3, 2, rng)
+    fine = pointwise(lambda x: 0.0)
+    # integrand 1 turns non-finite past a threshold, integrand 2 everywhere
+    bad = pointwise(lambda x: np.inf if x[0] > means[1, 0] else 0.0)
+    rule = ExpectationRule("gauss_hermite", 5)
+    with pytest.raises(EvaluationError) as excinfo:
+        expect_weighted(rule, (means, chols), [fine, bad, pointwise(lambda x: np.nan)])
+    nodes, _ = _gh_grid(5, 2)
+    points = means[1] + nodes @ chols[1].T
+    first = points[np.flatnonzero(points[:, 0] > means[1, 0])[0]]
+    assert str(excinfo.value) == f"integrand returned {np.float64(np.inf)!r} at node {first.tolist()}"
+    assert np.array_equal(excinfo.value.node, first)

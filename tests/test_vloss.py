@@ -6,7 +6,7 @@ import pytest
 from ngvi._testing import random_gaussian, random_spd
 from ngvi.gaussian import MeanPrecision, NotPositiveDefiniteError, convert
 from ngvi.kronmat import DimensionError
-from ngvi.quadrature import ExpectationRule
+from ngvi.quadrature import ExpectationRule, pointwise
 from ngvi.verify import fd_check
 from ngvi.vloss import (
     LossFunctional,
@@ -26,7 +26,7 @@ def quadratic_loss(m, p):
         d = x - m
         return float(0.5 * d @ p @ d)
 
-    return LossFunctional(m.shape[0], phi)
+    return LossFunctional(m.shape[0], pointwise(phi))
 
 
 def test_value_of_quadratic_closed_form():
@@ -82,7 +82,7 @@ def test_precision_to_mean_hessian_relation_quartic():
     def quartic(x):
         return float(0.1 * np.sum(x**4) + 0.5 * x @ x + 0.2 * x[0] * x[1] + x[0])
 
-    loss = LossFunctional(n, quartic)
+    loss = LossFunctional(n, pointwise(quartic))
     bundle = derivatives(loss, g, ExpectationRule("gauss_hermite", 7))
     sigma = g.cov.full()
     relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
@@ -91,7 +91,7 @@ def test_precision_to_mean_hessian_relation_quartic():
 
 def test_precision_to_mean_hessian_relation_cosine():
     g = MeanPrecision.from_dense([0.2], [[1.5]])
-    loss = LossFunctional(1, lambda x: float(np.cos(x[0])))
+    loss = LossFunctional(1, pointwise(lambda x: float(np.cos(x[0]))))
     bundle = derivatives(loss, g, ExpectationRule("gauss_hermite", 15))
     sigma = 1.0 / 1.5
     relation = 0.5 * sigma - 0.5 * sigma * bundle.hess_mu.full()[0, 0] * sigma
@@ -108,7 +108,7 @@ def test_value_and_derivatives_shares_one_sweep():
         calls.append(1)
         return float(x @ x)
 
-    loss = LossFunctional(2, phi)
+    loss = LossFunctional(2, pointwise(phi))
     value_and_derivatives(loss, g, RULE5)
     assert len(calls) == 5**2
 
@@ -116,14 +116,14 @@ def test_value_and_derivatives_shares_one_sweep():
 def test_value_and_derivatives_value_matches_value():
     rng = np.random.default_rng(5)
     g = random_gaussian(2, rng)
-    loss = LossFunctional(2, lambda x: float(np.tanh(x[0]) + x[1] ** 2))
+    loss = LossFunctional(2, pointwise(lambda x: float(np.tanh(x[0]) + x[1] ** 2)))
     v1 = value(loss, g, RULE5)
     v2, _ = value_and_derivatives(loss, g, RULE5)
     assert v1 == v2
 
 
 def test_dimension_mismatch_rejected():
-    loss = LossFunctional(2, lambda x: 0.0)
+    loss = LossFunctional(2, pointwise(lambda x: 0.0))
     g = MeanPrecision.from_dense([0.0], [[1.0]])
     with pytest.raises(DimensionError):
         value(loss, g, RULE5)
@@ -131,7 +131,7 @@ def test_dimension_mismatch_rejected():
 
 def test_invalid_dimension_rejected():
     with pytest.raises(DimensionError):
-        LossFunctional(0, lambda x: 0.0)
+        LossFunctional(0, pointwise(lambda x: 0.0))
 
 
 def test_fd_check_quadratic():
@@ -152,7 +152,7 @@ def test_fd_check_logistic():
         t = float(a @ x)
         return float(np.logaddexp(0.0, t) - t)  # label 1
 
-    loss = LossFunctional(1, phi)
+    loss = LossFunctional(1, pointwise(phi))
     g = MeanPrecision.from_dense([0.3], [[2.0]])
     report = fd_check(loss, g, ExpectationRule("gauss_hermite", 15))
     assert report.grad_mu_error < 1e-4
@@ -161,7 +161,7 @@ def test_fd_check_logistic():
 
 
 def test_fd_check_rejects_bad_step():
-    loss = LossFunctional(1, lambda x: 0.0)
+    loss = LossFunctional(1, pointwise(lambda x: 0.0))
     g = MeanPrecision.from_dense([0.0], [[1.0]])
     with pytest.raises(ValueError):
         fd_check(loss, g, RULE5, step=-1.0)
@@ -169,7 +169,7 @@ def test_fd_check_rejects_bad_step():
 
 def test_fd_check_failure_names_smallest_step_tried():
     # a precision this small leaves the PD cone at every step tried
-    loss = LossFunctional(1, lambda x: float(x[0] ** 2))
+    loss = LossFunctional(1, pointwise(lambda x: float(x[0] ** 2)))
     g = MeanPrecision.from_dense([0.0], [[1e-9]])
     with pytest.raises(NotPositiveDefiniteError, match=f"shrank to {1e-5 / 2**8:.2e}"):
         fd_check(loss, g, RULE5)
