@@ -12,11 +12,17 @@ exactly that.
 
 A factor's ``local_phi`` is a batched integrand (see ``ngvi.quadrature``):
 it maps the (P, d) evaluation points of its marginal to their P values.
-The assembly groups factors by arity and sweeps each group in chunks of
-at most ``CHUNK_POINTS`` points: one stacked slice of the marginal
-blocks, one batched Cholesky factorization and inverse, one
-``expect_weighted`` call that calls each factor's ``local_phi`` once, and
-one scatter-add.
+The assembly groups factors by arity, and each group records its
+distinct blocks (ordered index tuples; factors over the same tuple share
+one) once per graph. Per iteration and group it takes one stacked slice
+of the distinct blocks, one batched Cholesky factorization and inverse,
+and then sweeps the factors in chunks of at most ``CHUNK_POINTS`` points,
+one ``expect_weighted`` call per chunk that calls each factor's
+``local_phi`` once. The derivatives are linear in phi, so the moments
+are summed per block and mapped to derivatives once per block:
+prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian and
+prec E[(x - mu) phi] for the gradient. One scatter per iteration adds
+every block into the global gradient and Hessian.
 
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,16 +119,39 @@ class FactorGraph:
         object.__setattr__(self, "factors", factors)
 
     @cached_property
-    def _groups(self) -> tuple[tuple[tuple[Factor, ...], np.ndarray], ...]:
+    def _groups(self) -> tuple["_Group", ...]:
         """The factors grouped by arity, groups in order of first
-        appearance and factors in graph order, each group with its (K, d)
-        index array; built on the first assembly."""
+        appearance and factors in graph order; built once per graph, on
+        first use."""
         groups: dict[int, list[Factor]] = {}
         for f in self.factors:
             groups.setdefault(len(f.indices), []).append(f)
-        return tuple(
-            (tuple(fs), np.array([f.indices for f in fs], dtype=np.intp)) for fs in groups.values()
-        )
+        out = []
+        for fs in groups.values():
+            indices = np.array([f.indices for f in fs], dtype=np.intp)
+            blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
+            out.append(_Group(tuple(fs), blocks, block_of.reshape(-1)))
+        return tuple(out)
+
+    @cached_property
+    def _scatter_index(self) -> np.ndarray:
+        """Flat positions, in the concatenation of the gradient (n) and the
+        row-major Hessian (n * n), of every group's block gradients then
+        every group's block Hessians: the one scatter of an assembly."""
+        n = self.dim
+        grads = [g.blocks.ravel() for g in self._groups]
+        hessians = [n + (g.blocks[:, :, None] * n + g.blocks[:, None, :]).ravel() for g in self._groups]
+        return np.concatenate(grads + hessians) if grads else np.zeros(0, dtype=np.intp)
+
+
+class _Group(NamedTuple):
+    """Factors of one arity and their distinct blocks."""
+
+    factors: tuple[Factor, ...]
+    # (B, d) distinct ordered index tuples, sorted
+    blocks: np.ndarray
+    # (K,) the block of each factor
+    block_of: np.ndarray
 
 
 def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
@@ -130,27 +159,39 @@ def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
 
     The diagonal is always present.
     """
-    pattern = {(i, i) for i in range(graph.dim)}
-    for f in graph.factors:
-        for a in f.indices:
-            for b in f.indices:
-                if a >= b:
-                    pattern.add((a, b))
-    return frozenset(pattern)
+    rows, cols = _vech_indices(graph.dim)
+    allowed = _pattern_mask(graph)
+    return frozenset(zip(rows[allowed].tolist(), cols[allowed].tolist()))
+
+
+def _pattern_mask(graph: FactorGraph) -> np.ndarray:
+    """The pattern as a mask over the half vector, from the groups' blocks."""
+    n = graph.dim
+    allowed = np.zeros(half_len(n), dtype=bool)
+    diagonal = np.arange(n)
+    allowed[_vech_position(diagonal, diagonal, n)] = True
+    for group in graph._groups:
+        r, c = np.broadcast_arrays(group.blocks[:, :, None], group.blocks[:, None, :])
+        lower = r >= c
+        allowed[_vech_position(r[lower], c[lower], n)] = True
+    return allowed
 
 
 def pattern_violations(
-    prec: SymmetricMatrix, pattern: frozenset[tuple[int, int]]
+    prec: SymmetricMatrix, pattern: frozenset[tuple[int, int]] | np.ndarray
 ) -> set[tuple[int, int]]:
-    """Stored nonzeros of a precision half-vector lying outside the pattern."""
+    """Stored nonzeros of a precision half-vector lying outside the pattern:
+    a set of (i, j) pairs, or the boolean half-vector mask of its allowed
+    entries, which the optimizer builds once per solve."""
     n = prec.dim
-    pairs = np.array(list(pattern), dtype=np.intp).reshape(-1, 2)
-    r, c = pairs[:, 0], pairs[:, 1]
-    # pairs off the stored lower triangle can match no stored entry
-    stored = (c >= 0) & (r >= c) & (r < n)
-    r, c = r[stored], c[stored]
-    allowed = np.zeros(half_len(n), dtype=bool)
-    allowed[_vech_position(r, c, n)] = True
+    allowed = pattern
+    if not isinstance(pattern, np.ndarray):
+        pairs = np.array(list(pattern), dtype=np.intp).reshape(-1, 2)
+        r, c = pairs[:, 0], pairs[:, 1]
+        # pairs off the stored lower triangle can match no stored entry
+        stored = (c >= 0) & (r >= c) & (r < n)
+        allowed = np.zeros(half_len(n), dtype=bool)
+        allowed[_vech_position(r[stored], c[stored], n)] = True
     bad = np.flatnonzero((prec.half != 0.0) & ~allowed)
     rows, cols = _vech_indices(n)
     return set(zip(rows[bad].tolist(), cols[bad].tolist()))
@@ -181,8 +222,11 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     """Loss value and derivative bundle by per-factor marginal expectations.
 
     The marginals are blocks of the iterate's one covariance, and
-    ln|prec| comes from its cached factor. Each chunk of an arity group
-    is swept by one ``expect_weighted`` call.
+    ln|prec| comes from its cached factor. Per arity group, each distinct
+    block is sliced, factored and inverted once, each chunk of factors is
+    swept by one ``expect_weighted`` call, and the moments are summed per
+    block before the one map to derivatives (they are linear in phi).
+    Every group's block derivatives then go into one scatter.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
@@ -192,28 +236,48 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
         raise NotPositiveDefiniteError(
             "the iterate's precision is singular: it has a Cholesky factor but no inverse"
         ) from None
-    grad_mu = np.zeros(n)
-    hess_mu = np.zeros((n, n))
+    grads, hessians = [], []
     total = 0.0
     try:
-        for group, idx in graph._groups:
-            per_chunk = max(1, CHUNK_POINTS // _n_points(rule, idx.shape[1]))
-            for start in range(0, len(group), per_chunk):
-                chunk = idx[start : start + per_chunk]
-                rows, cols = chunk[:, :, None], chunk[:, None, :]
-                cov = sigma[rows, cols]
-                chol = np.linalg.cholesky(cov)
-                prec = np.linalg.inv(cov)
-                prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
-                phis = [f.local_phi for f in group[start : start + per_chunk]]
-                scalar, vector, matrix = expect_weighted(rule, (q.mean[chunk], chol), phis)
-                local_hess = prec @ matrix @ prec - prec * scalar[:, None, None]
-                np.add.at(grad_mu, chunk, np.einsum("kij,kj->ki", prec, vector))
-                np.add.at(hess_mu, (rows, cols), 0.5 * (local_hess + np.swapaxes(local_hess, 1, 2)))
-                total += float(scalar.sum())
+        for group in graph._groups:
+            blocks, block_of = group.blocks, group.block_of
+            count, dim = blocks.shape
+            cov = sigma[blocks[:, :, None], blocks[:, None, :]]
+            chol = np.linalg.cholesky(cov)
+            # L L^T rather than the sliced block: the centring below must use
+            # the factor the moments were formed with, or the rounding gap
+            # between the two adds up over every factor of a block
+            outer = chol @ np.swapaxes(chol, 1, 2)
+            prec = np.linalg.inv(cov)
+            prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+            mean = q.mean[blocks]
+            moments = []
+            per_chunk = max(1, CHUNK_POINTS // _n_points(rule, dim))
+            for start in range(0, len(group.factors), per_chunk):
+                at = block_of[start : start + per_chunk]
+                phis = [f.local_phi for f in group.factors[start : start + per_chunk]]
+                scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), phis)
+                # L E[(z z^T - I) f] L^T per factor: a factor's Hessian is a small
+                # difference of two large terms, and a block sum taken before
+                # that difference would lose its digits
+                centred = matrix - scalar[:, None, None] * outer[at]
+                moments.append(np.column_stack([scalar, vector, centred.reshape(len(at), -1)]))
+            width = 1 + dim + dim * dim
+            slots = (block_of[:, None] * width + np.arange(width)).ravel()
+            sums = np.bincount(slots, np.concatenate(moments).ravel(), count * width)
+            sums = sums.reshape(count, width)
+            scalar, vector = sums[:, 0], sums[:, 1 : 1 + dim]
+            matrix = sums[:, 1 + dim :].reshape(count, dim, dim)
+            hess = prec @ matrix @ prec
+            grads.append(np.einsum("kij,kj->ki", prec, vector).ravel())
+            hessians.append((0.5 * (hess + np.swapaxes(hess, 1, 2))).ravel())
+            total += float(scalar.sum())
     except (np.linalg.LinAlgError, EvaluationError, IntegrandShapeError):
         _raise_first_failure(graph, q.mean, sigma, rule)
         raise
+    values = np.concatenate(grads + hessians) if grads else np.zeros(0)
+    flat = np.bincount(graph._scatter_index, values, n + n * n)
+    grad_mu, hess_mu = flat[:n], flat[n:].reshape(n, n)
     grad_prec = 0.5 * sigma - 0.5 * sigma @ hess_mu @ sigma
     grad_prec = 0.5 * (grad_prec + grad_prec.T)
     bundle = DerivativeBundle(
@@ -275,7 +339,7 @@ def optimize_factored(
     q0 = convert(q0, "mean_prec")
     if q0.dim != graph.dim:
         raise DimensionError(f"initial dimension {q0.dim} != graph dimension {graph.dim}")
-    pattern = sparsity_pattern(graph)
+    pattern = _pattern_mask(graph)
 
     def check_pattern(q: MeanPrecision) -> None:
         bad = pattern_violations(q.prec, pattern)

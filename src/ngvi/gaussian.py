@@ -256,7 +256,17 @@ def _cov_chol(g) -> np.ndarray:
 
 def _draw(mean: np.ndarray, chol_cov: np.ndarray, count: int, seed: int) -> np.ndarray:
     """``count`` draws mean + L z, with L the covariance's lower Cholesky factor."""
-    return mean + _standard_draws(count, mean.shape[0], seed) @ chol_cov.T
+    return _affine(mean[None], chol_cov[None], _standard_draws(count, mean.shape[0], seed))[0]
+
+
+def _affine(means: np.ndarray, chols: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Points mu_k + L_k z (K, P, d) of K Gaussians, means (K, d) and
+    covariance factors (K, d, d), at shared standard nodes z (P, d); the
+    offsets of all K come from one GEMM, z @ [L_1^T ... L_K^T]."""
+    count, dim = means.shape
+    points = (z @ chols.reshape(count * dim, dim).T).reshape(-1, count, dim)
+    points += means
+    return np.swapaxes(points, 0, 1)
 
 
 def _standard_draws(count: int, dim: int, seed: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MeanPrecision, convert, cov_of
+from .gaussian import MeanPrecision, convert, cov_of, prec_of
 from .kronmat import SymmetricMatrix
 from .quadrature import ExpectationRule, default_rule
 from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
@@ -98,16 +98,16 @@ def _hybrid_delta(d: DerivativeBundle, jitter: float = 0.0) -> tuple[np.ndarray,
     hess = d.hess_mu.full()
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
+    # the factorization is the definiteness test; the mean step is one solve
     try:
-        chol = np.linalg.cholesky(hess)
+        np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         lam = float(np.linalg.eigvalsh(hess).min())
         raise IndefiniteHessianError(
             f"mean Hessian is indefinite (smallest eigenvalue {lam:.6e})",
             min_eigenvalue=lam,
         ) from None
-    delta_mu = -np.linalg.solve(chol.T, np.linalg.solve(chol, d.grad_mu))
-    return delta_mu, hess
+    return -np.linalg.solve(hess, d.grad_mu), hess
 
 
 def step_hybrid(
@@ -121,12 +121,14 @@ def step_hybrid(
 def _predicted_decrease(q, d: DerivativeBundle) -> float:
     """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
 
-    The covariance is the iterate's shared one, which the assembly has
+    The inverse FIM is Sigma on the mean block and 2 P (x) P on the
+    precision block (``fim.fim_inverse(q, "alpha")``), so this is
+    -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
+    Sigma is the iterate's shared covariance, which the assembly has
     already inverted; tr(prod @ prod) is summed elementwise, in O(n^2).
     """
-    sigma = cov_of(q)
-    prod = sigma @ d.grad_prec.full()
-    return float(-0.5 * d.grad_mu @ (sigma @ d.grad_mu) - np.sum(prod * prod.T))
+    prod = prec_of(q) @ d.grad_prec.full()
+    return float(-0.5 * d.grad_mu @ (cov_of(q) @ d.grad_mu) - np.sum(prod * prod.T))
 
 
 def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPrecision, IterationTrace]:

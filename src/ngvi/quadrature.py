@@ -12,9 +12,16 @@ Points are whitened: x = mu + L z, with L the Cholesky factor of the
 covariance and z standard nodes shared by every Gaussian of one
 dimension: sqrt(2) xi on the Gauss-Hermite tensor grid, whose pi
 normalization is folded into the weights so they sum to 1 exactly, or
-the rule's seeded standard normal draws. ``expect_weighted`` sweeps K
-Gaussians of one dimension at once, one integrand each; a single
-Gaussian is its K = 1 case.
+the rule's seeded standard normal draws. A sweep reads its node table:
+the nodes z (P, d), their weights and the pairwise products z_i z_j
+(P, d*d), built once per Gauss-Hermite order and dimension.
+
+``expect_weighted`` sweeps K Gaussians of one dimension at once, one
+integrand each; a single Gaussian is its K = 1 case. The points of all
+K come from one GEMM (``gaussian._affine``). With w the weighted values
+(K, P), the whitened moments are two more GEMMs, E[z f] = w @ z and
+E[z z^T f] = w @ zz, and the x-space moments it returns are L E[z f]
+and L E[z z^T f] L^T.
 """
 
 from __future__ import annotations
@@ -114,17 +121,35 @@ def _n_points(rule: ExpectationRule, dim: int) -> int:
     return rule.order if rule.kind == "monte_carlo" else rule.order**dim
 
 
-def _standard_points(rule: ExpectationRule, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard nodes z (P, dim) and probability weights summing to 1; a
-    Gaussian's points are mu + z L^T."""
+def _pairwise(z: np.ndarray) -> np.ndarray:
+    """The products z_i z_j of every node, (P, d * d)."""
+    return (z[:, :, None] * z[:, None, :]).reshape(z.shape[0], -1)
+
+
+@lru_cache(maxsize=None)
+def _gh_table(order: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Hermite grid with its pairwise products, built once per
+    (order, dim); all three arrays are read-only."""
+    z, weights = _gh_grid(order, dim)
+    zz = _pairwise(z)
+    zz.setflags(write=False)
+    return z, weights, zz
+
+
+def _node_table(rule: ExpectationRule, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard nodes z (P, dim), probability weights summing to 1 and the
+    pairwise products z_i z_j (P, dim * dim); a Gaussian's points are
+    mu + z L^T. Monte Carlo draws are made again on every call, so
+    that no seed's table outlives its sweep."""
     count = _n_points(rule, dim)
     if rule.kind == "monte_carlo":
-        return gaussian._standard_draws(count, dim, rule.seed), np.full(count, 1.0 / count)
+        z = gaussian._standard_draws(count, dim, rule.seed)
+        return z, np.full(count, 1.0 / count), _pairwise(z)
     if count > rule.point_budget:
         raise ValueError(
             f"tensor grid of {rule.order}^{dim} points exceeds budget {rule.point_budget}"
         )
-    return _gh_grid(rule.order, dim)
+    return _gh_table(rule.order, dim)
 
 
 def pointwise(fn):
@@ -179,12 +204,12 @@ def expect_weighted(rule: ExpectationRule, g, f):
         scalar, vector, matrix = expect_weighted(rule, (mu[None], chol[None]), (f,))
         return float(scalar[0]), vector[0], matrix[0]
     means, chols = g
-    z, weights = _standard_points(rule, means.shape[-1])
-    offsets = z @ np.swapaxes(chols, -1, -2)
-    values = _evaluate(f, means[:, None, :] + offsets)
+    count, dim = means.shape
+    z, weights, zz = _node_table(rule, dim)
+    values = _evaluate(f, gaussian._affine(means, chols, z))
     scalar = values @ weights
     weighted = values * weights
-    vector = np.einsum("kp,kpd->kd", weighted, offsets)
-    matrix = np.swapaxes(offsets * weighted[..., None], 1, 2) @ offsets
+    vector = np.einsum("kij,kj->ki", chols, weighted @ z)
+    matrix = chols @ (weighted @ zz).reshape(count, dim, dim) @ np.swapaxes(chols, 1, 2)
     matrix = 0.5 * (matrix + np.swapaxes(matrix, 1, 2))
     return scalar, vector, matrix

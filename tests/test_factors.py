@@ -148,6 +148,41 @@ def test_extract_marginal_rejects_bad_index():
         extract_marginal(q, [1])
 
 
+def reference_sparsity_pattern(graph):
+    """The pair-by-pair loop that the half-vector mask replaced."""
+    pattern = {(i, i) for i in range(graph.dim)}
+    for f in graph.factors:
+        for a in f.indices:
+            for b in f.indices:
+                if a >= b:
+                    pattern.add((a, b))
+    return frozenset(pattern)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_pattern_mask_matches_the_pair_set(dim, seed):
+    rng = np.random.default_rng(seed)
+
+    def random_indices():
+        arity = int(rng.integers(1, dim + 1))
+        return tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+
+    zero = pointwise(lambda u: 0.0)
+    count = int(rng.integers(1, 6))
+    graph = FactorGraph(dim, tuple(Factor(f"f{k}", random_indices(), zero) for k in range(count)))
+    pattern = reference_sparsity_pattern(graph)
+    assert sparsity_pattern(graph) == pattern
+    half = rng.standard_normal(half_len(dim))
+    kind = rng.integers(3, size=half.shape[0])
+    half[kind == 1] = 0.0
+    half[kind == 2] = -0.0
+    prec = SymmetricMatrix(dim, half)
+    found = pattern_violations(prec, factors._pattern_mask(graph))
+    assert found == reference_pattern_violations(prec, pattern)
+    assert found == pattern_violations(prec, pattern)
+
+
 def reference_assemble(graph, q, rule):
     """One dense solve per factor through the public extract_marginal: the
     per-factor assembly that slicing one covariance replaced."""
@@ -246,6 +281,75 @@ def test_assembly_builds_no_per_factor_marginal(monkeypatch):
     value, bundle = factors._assemble(spec.graph, spec.init, spec.rule)
     assert np.isfinite(value)
     assert np.all(np.isfinite(bundle.hess_mu.half))
+
+
+def random_factor(fid, indices, rng):
+    arity = len(indices)
+    kind = KINDS_BY_ARITY[arity][int(rng.integers(len(KINDS_BY_ARITY[arity])))]
+    return Factor(fid, indices, build_phi(kind, random_phi_params(kind, arity, rng), arity, fid))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_blockwise_assembly_matches_per_factor_marginals(data):
+    # Factors share blocks: each arity's index tuple repeats many times, a
+    # reordered copy such as (0, 2) next to (2, 0) is a block of its own,
+    # and the arity groups are interleaved in graph order.
+    dim = data.draw(st.integers(3, 7), label="dim")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rules = [RULE5, ExpectationRule("gauss_hermite", 3), ExpectationRule("monte_carlo", 64, seed=3)]
+    rule = data.draw(st.sampled_from(rules), label="rule")
+    rng = np.random.default_rng(seed)
+    tuples = [(0, 2), (2, 0)]
+    for arity in data.draw(st.lists(st.integers(1, min(4, dim)), min_size=1, max_size=3), label="arities"):
+        base = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        tuples += [base, base[::-1]]
+    repeats = data.draw(st.integers(1, 60), label="repeats")
+    indices = [tuples[int(k)] for k in rng.integers(len(tuples), size=repeats * len(tuples))]
+    graph = FactorGraph(dim, tuple(random_factor(f"f{k}", idx, rng) for k, idx in enumerate(indices)))
+    assert sum(len(group.blocks) for group in graph._groups) == len(set(indices))
+    q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
+    value, bundle = factors._assemble(graph, q, rule)
+    ref_value, ref_grad, ref_hess, ref_grad_prec = reference_assemble(graph, q, rule)
+
+    def close(found, expected):
+        return np.max(np.abs(found - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+    assert close(bundle.grad_mu, ref_grad)
+    assert close(bundle.hess_mu.full(), ref_hess)
+    assert close(bundle.grad_prec.full(), ref_grad_prec)
+
+
+def test_graph_without_factors_assembles_the_entropy_term():
+    q = MeanPrecision.from_dense(np.zeros(2), np.diag([2.0, 4.0]))
+    value, bundle = factors._assemble(FactorGraph(2, ()), q, RULE5)
+    assert value == pytest.approx(0.5 * np.log(8.0), rel=1e-15)
+    assert not bundle.grad_mu.any() and not bundle.hess_mu.half.any()
+    assert np.allclose(bundle.grad_prec.full(), np.diag([0.25, 0.125]), rtol=1e-15, atol=0.0)
+
+
+def test_assembly_factors_each_distinct_block_once(monkeypatch):
+    # logistic regression: a prior and 300 observations over the same 3 weights
+    rng = np.random.default_rng(15)
+    kind = "logistic_bernoulli"
+    observations = [
+        Factor(f"obs{k}", (0, 1, 2), build_phi(kind, random_phi_params(kind, 3, rng), 3, f"obs{k}"))
+        for k in range(300)
+    ]
+    prior = build_phi("gaussian_quadratic", {"m": [0.0] * 3, "P": np.eye(3).tolist()}, 3, "prior")
+    graph = FactorGraph(3, (Factor("prior", (0, 1, 2), prior), *observations))
+    q = MeanPrecision.from_dense(rng.standard_normal(3), random_spd(3, rng))
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    factors._assemble(graph, q, RULE5)
+    assert factored == [(1, 3, 3)]
 
 
 def scalar_phi(kind, params, u):

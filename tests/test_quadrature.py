@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngvi._testing import random_gaussian
-from ngvi.gaussian import MeanCovariance, MeanPrecision, _draw, convert
+from ngvi.gaussian import MeanCovariance, MeanPrecision, _draw, _standard_draws, convert
 from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
@@ -206,3 +208,43 @@ def test_stacked_nonfinite_value_reports_first_integrand_then_point():
     first = points[np.flatnonzero(points[:, 0] > means[1, 0])[0]]
     assert str(excinfo.value) == f"integrand returned {np.float64(np.inf)!r} at node {first.tolist()}"
     assert np.array_equal(excinfo.value.node, first)
+
+
+def offset_moments(rule, means, chols, fs):
+    """The moments as the sweep formed them before the node tables: from
+    the offsets z L^T of every point, reduced point by point."""
+    d = means.shape[1]
+    if rule.kind == "monte_carlo":
+        z, weights = _standard_draws(rule.order, d, rule.seed), np.full(rule.order, 1.0 / rule.order)
+    else:
+        z, weights = _gh_grid(rule.order, d)
+    offsets = z @ np.swapaxes(chols, -1, -2)
+    values = np.stack([f(m + off) for f, m, off in zip(fs, means, offsets)])
+    weighted = values * weights
+    vector = np.einsum("kp,kpd->kd", weighted, offsets)
+    matrix = np.swapaxes(offsets * weighted[..., None], 1, 2) @ offsets
+    return values @ weights, vector, 0.5 * (matrix + np.swapaxes(matrix, 1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(1, 6),
+    rule=st.sampled_from(
+        [
+            ExpectationRule("gauss_hermite", 3),
+            ExpectationRule("gauss_hermite", 5),
+            ExpectationRule("monte_carlo", 200, seed=9),
+        ]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whitened_moments_match_the_offset_formula(d, k, rule, seed):
+    rng = np.random.default_rng(seed)
+    _, means, chols = stacked_gaussians(k, d, rng)
+    a = rng.standard_normal((k, d))
+    fs = [lambda x, a=a[j]: np.cos(x @ a) + (x @ a) ** 2 for j in range(k)]
+    found = expect_weighted(rule, (means, chols), fs)
+    for got, expected in zip(found, offset_moments(rule, means, chols, fs)):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
