@@ -4,9 +4,11 @@ Each factor touches a subset of the variables through an index list (the
 projection); per-factor derivatives are evaluated over the factor's
 exact marginal and scatter-added into the global gradient and mean
 Hessian. Every marginal of one iteration is sliced from a single
-covariance, the inverse of the iterate's precision, which the precision
-derivative needs anyway. Because the Hessian only ever receives
-within-factor blocks, the precision support stays inside the
+covariance, the inverse of the iterate's precision. The precision
+derivative (1/2) Sigma - (1/2) Sigma H Sigma is evidence for the
+derivative relation, not an input to the hybrid step, so the bundle
+builds it on demand, when first read. Because the Hessian only ever
+receives within-factor blocks, the precision support stays inside the
 factor-induced pattern at every iteration, and the optimizer asserts
 exactly that.
 
@@ -55,7 +57,7 @@ from .quadrature import (
     expect_weighted,
     _n_points,
 )
-from .vloss import DerivativeBundle, LossFunctional
+from .vloss import FactoredBundle, LossFunctional
 
 __all__ = [
     "Factor",
@@ -218,7 +220,7 @@ def extract_marginal(q, indices) -> MeanCovariance:
     return MeanCovariance.from_dense(q.mean[idx], sub)
 
 
-def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, DerivativeBundle]:
+def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, FactoredBundle]:
     """Loss value and derivative bundle by per-factor marginal expectations.
 
     The marginals are blocks of the iterate's one covariance, and
@@ -226,7 +228,9 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     block is sliced, factored and inverted once, each chunk of factors is
     swept by one ``expect_weighted`` call, and the moments are summed per
     block before the one map to derivatives (they are linear in phi).
-    Every group's block derivatives then go into one scatter.
+    Every group's block derivatives then go into one scatter. The
+    bundle's precision derivative (1/2) Sigma - (1/2) Sigma H Sigma is
+    built on demand, when first read: the hybrid step does not use it.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
@@ -277,14 +281,9 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
         raise
     values = np.concatenate(grads + hessians) if grads else np.zeros(0)
     flat = np.bincount(graph._scatter_index, values, n + n * n)
-    grad_mu, hess_mu = flat[:n], flat[n:].reshape(n, n)
-    grad_prec = 0.5 * sigma - 0.5 * sigma @ hess_mu @ sigma
-    grad_prec = 0.5 * (grad_prec + grad_prec.T)
-    bundle = DerivativeBundle(
-        grad_mu,
-        SymmetricMatrix.from_full(hess_mu),
-        SymmetricMatrix.from_full(grad_prec),
-    )
+    # every block is exactly symmetric and (i, j) and (j, i) receive its
+    # equal entries in the same order, so the Hessian is exactly symmetric
+    bundle = FactoredBundle(flat[:n], flat[n:].reshape(n, n), sigma)
     return total + 0.5 * _logdet_from_chol(q.chol), bundle
 
 
@@ -303,7 +302,7 @@ def _raise_first_failure(
             raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
 
 
-def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:
+def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> FactoredBundle:
     """Global derivative bundle scatter-added from per-factor derivatives."""
     return _assemble(graph, q, rule)[1]
 
@@ -332,7 +331,15 @@ def as_loss(graph: FactorGraph) -> LossFunctional:
 def optimize_factored(
     graph: FactorGraph, q0: MeanPrecision, cfg: NgdConfig
 ) -> tuple[MeanPrecision, IterationTrace]:
-    """Hybrid iteration with per-iteration sparsity-pattern assertion."""
+    """Hybrid iteration with per-iteration sparsity-pattern assertion.
+
+    A graph with no factors is refused: its loss is the entropy term
+    (1/2) ln|prec| alone, which is unbounded below and has no optimum.
+    """
+    if not graph.factors:
+        raise ValueError(
+            "factor graph has no factors: the loss (1/2) ln|prec| is unbounded below"
+        )
     rule = cfg.rule if cfg.rule is not None else default_rule(
         max(len(f.indices) for f in graph.factors)
     )

@@ -99,11 +99,25 @@ class MeanPrecision:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", _check_mean(self.mean, self.prec))
-        object.__setattr__(self, "_chol", _chol(self.prec.full(), "precision"))
+        # ``_from_factor`` hands over a factor it has already computed
+        if "_chol" not in vars(self):
+            object.__setattr__(self, "_chol", _chol(self.precision, "precision"))
 
     @classmethod
     def from_dense(cls, mean, prec) -> "MeanPrecision":
         return cls(mean, SymmetricMatrix.from_full(prec))
+
+    @classmethod
+    def _from_factor(cls, mean, prec: np.ndarray, chol: np.ndarray) -> "MeanPrecision":
+        """The Gaussian with a dense, exactly symmetric precision whose lower
+        Cholesky factor the caller has already computed. Both are kept
+        (``prec`` made read-only) rather than expanded and factored again;
+        construction still packs the half vector and checks the mean."""
+        prec.setflags(write=False)
+        g = cls.__new__(cls)
+        vars(g).update(precision=prec, _chol=chol)
+        g.__init__(mean, SymmetricMatrix.from_full(prec))
+        return g
 
     @property
     def dim(self) -> int:
@@ -115,10 +129,18 @@ class MeanPrecision:
         return self._chol
 
     @cached_property
+    def precision(self) -> np.ndarray:
+        """Dense precision, expanded once on first use and shared by every
+        later caller (read-only)."""
+        prec = self.prec.full()
+        prec.setflags(write=False)
+        return prec
+
+    @cached_property
     def covariance(self) -> np.ndarray:
         """Dense symmetrized covariance, inverted once on first use and
         shared by every later caller (read-only)."""
-        cov = _inv_sym(self.prec.full())
+        cov = _inv_sym(self.precision)
         cov.setflags(write=False)
         return cov
 
@@ -173,9 +195,10 @@ def cov_of(g) -> np.ndarray:
 
 
 def prec_of(g) -> np.ndarray:
-    """Dense precision of any form."""
+    """Dense precision of any form; for a MeanPrecision, its shared
+    read-only ``precision``."""
     if isinstance(g, MeanPrecision):
-        return g.prec.full()
+        return g.precision
     if isinstance(g, NaturalForm):
         return g.eta2.full()
     return _inv_sym(g.cov.full())

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import MeanPrecision, convert, cov_of, prec_of
-from .kronmat import SymmetricMatrix
 from .quadrature import ExpectationRule, default_rule
-from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
+from .vloss import DerivativeBundle, FactoredBundle, LossFunctional, value_and_derivatives
 
 __all__ = [
     "ConfigError",
@@ -93,32 +92,41 @@ def _fingerprint(half: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(half).tobytes()).hexdigest()[:16]
 
 
-def _hybrid_delta(d: DerivativeBundle, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(delta_mu, new precision) of the hybrid update; raises on indefiniteness."""
-    hess = d.hess_mu.full()
+def _hybrid_delta(
+    d: DerivativeBundle | FactoredBundle, jitter: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_mu, new precision, its lower Cholesky factor) of the hybrid
+    update; raises on a non-finite or indefinite mean Hessian."""
+    hess = d.hess
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
-    # the factorization is the definiteness test; the mean step is one solve
+    if not np.isfinite(hess).all():
+        raise ValueError("mean Hessian contains non-finite entries")
+    # the factorization is the definiteness test and the new iterate's
+    # factor; the mean step is one solve
     try:
-        np.linalg.cholesky(hess)
+        chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
         lam = float(np.linalg.eigvalsh(hess).min())
         raise IndefiniteHessianError(
             f"mean Hessian is indefinite (smallest eigenvalue {lam:.6e})",
             min_eigenvalue=lam,
         ) from None
-    return -np.linalg.solve(hess, d.grad_mu), hess
+    return -np.linalg.solve(hess, d.grad_mu), hess, chol
 
 
 def step_hybrid(
-    q: MeanPrecision, d: DerivativeBundle, step_scale: float = 1.0, jitter: float = 0.0
+    q: MeanPrecision,
+    d: DerivativeBundle | FactoredBundle,
+    step_scale: float = 1.0,
+    jitter: float = 0.0,
 ) -> MeanPrecision:
     """One hybrid natural-gradient step from the bundle evaluated at q."""
-    delta_mu, hess = _hybrid_delta(d, jitter)
-    return MeanPrecision(q.mean + step_scale * delta_mu, SymmetricMatrix.from_full(hess))
+    delta_mu, hess, chol = _hybrid_delta(d, jitter)
+    return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, hess, chol)
 
 
-def _predicted_decrease(q, d: DerivativeBundle) -> float:
+def _predicted_decrease(q, d: DerivativeBundle | FactoredBundle) -> float:
     """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
 
     The inverse FIM is Sigma on the mean block and 2 P (x) P on the
@@ -126,9 +134,24 @@ def _predicted_decrease(q, d: DerivativeBundle) -> float:
     -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
     Sigma is the iterate's shared covariance, which the assembly has
     already inverted; tr(prod @ prod) is summed elementwise, in O(n^2).
+
+    A factored bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
+    Hessian H. With P Sigma = I, P G = (1/2)(I - M) for M = H Sigma, so
+
+        tr(P G P G) = (1/4) tr((I - M)^2) = (1/4)(n - 2 tr M + sum(M * M^T)),
+
+    one product where forming G and P G takes three. It is summed as
+    (1/4) sum(D * D^T) with D = I - M, which does not cancel as M nears
+    I at a fixed point.
     """
-    prod = prec_of(q) @ d.grad_prec.full()
-    return float(-0.5 * d.grad_mu @ (cov_of(q) @ d.grad_mu) - np.sum(prod * prod.T))
+    if isinstance(d, FactoredBundle):
+        resid = -(d.hess @ d.cov)
+        resid[np.diag_indices_from(resid)] += 1.0
+        prec_term = 0.25 * np.sum(resid * resid.T)
+    else:
+        prod = prec_of(q) @ d.grad_prec.full()
+        prec_term = np.sum(prod * prod.T)
+    return float(-0.5 * d.grad_mu @ (cov_of(q) @ d.grad_mu) - prec_term)
 
 
 def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPrecision, IterationTrace]:
@@ -138,7 +161,9 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
     precision change to fall below rel_tol; the check runs before the
     step is applied, so a restart from a fixed point converges without
     moving. An indefinite Hessian raises IndefiniteHessianError carrying
-    the partial trace.
+    the partial trace. Inside the loop the precision stays the dense
+    array the bundle's Hessian is; each new iterate keeps it and its
+    Cholesky factor, and packs it into a half vector once.
     """
     q = convert(q0, "mean_prec")
     trace = IterationTrace()
@@ -146,7 +171,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
     for k in range(cfg.max_iters + 1):
         value_k, bundle = eval_fn(q)
         try:
-            delta_mu, hess = _hybrid_delta(bundle, cfg.jitter)
+            delta_mu, hess, chol = _hybrid_delta(bundle, cfg.jitter)
         except IndefiniteHessianError as exc:
             exc.trace = trace
             raise
@@ -164,7 +189,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
                 predicted_decrease=_predicted_decrease(q, bundle),
             )
         )
-        prec_old = q.prec.full()
+        prec_old = q.precision
         rel_mu = float(np.linalg.norm(cfg.step_scale * delta_mu)) / max(
             1.0, float(np.linalg.norm(q.mean))
         )
@@ -174,9 +199,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
             break
         if k == cfg.max_iters:
             break
-        q = MeanPrecision(
-            q.mean + cfg.step_scale * delta_mu, SymmetricMatrix.from_full(hess)
-        )
+        q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol)
         if post_step is not None:
             post_step(q)
         prev_value = value_k

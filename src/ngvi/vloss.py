@@ -18,12 +18,14 @@ directly rather than through the relation
 
 so the relation remains a genuine cross-check. That cross-check and the
 finite-difference validation of all three blocks (``fd_check``) live in
-``ngvi.verify``.
+``ngvi.verify``. A factored assembly returns a ``FactoredBundle``, whose
+precision derivative is the relation itself, built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -32,7 +34,14 @@ from .gaussian import cov_of, prec_of
 from .kronmat import DimensionError, SymmetricMatrix
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted
 
-__all__ = ["LossFunctional", "DerivativeBundle", "value", "derivatives", "value_and_derivatives"]
+__all__ = [
+    "LossFunctional",
+    "DerivativeBundle",
+    "FactoredBundle",
+    "value",
+    "derivatives",
+    "value_and_derivatives",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +65,36 @@ class DerivativeBundle:
     grad_mu: np.ndarray
     hess_mu: SymmetricMatrix
     grad_prec: SymmetricMatrix
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        """The mean Hessian as a dense, exactly symmetric array."""
+        return self.hess_mu.full()
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredBundle:
+    """The derivatives of a factored assembly: the mean gradient, the dense,
+    exactly symmetric mean Hessian ``hess`` and the iterate's covariance
+    ``cov``. The precision derivative follows from the relation
+
+        grad_prec = (1/2) cov - (1/2) cov @ hess @ cov
+
+    and, like the packed ``hess_mu``, is built on first read: the hybrid
+    step needs neither, and the relation costs two dense products."""
+
+    grad_mu: np.ndarray
+    hess: np.ndarray
+    cov: np.ndarray
+
+    @cached_property
+    def hess_mu(self) -> SymmetricMatrix:
+        return SymmetricMatrix.from_full(self.hess)
+
+    @cached_property
+    def grad_prec(self) -> SymmetricMatrix:
+        grad_prec = 0.5 * self.cov - 0.5 * self.cov @ self.hess @ self.cov
+        return SymmetricMatrix.from_full(0.5 * (grad_prec + grad_prec.T))
 
 
 def _check_dims(loss: LossFunctional, q) -> None:

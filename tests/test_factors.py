@@ -22,7 +22,7 @@ from ngvi.factors import (
 )
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
 from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
-from ngvi.ngd import NgdConfig
+from ngvi.ngd import NgdConfig, _predicted_decrease
 from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
@@ -31,7 +31,7 @@ from ngvi.quadrature import (
     expect_weighted,
     pointwise,
 )
-from ngvi.vloss import LossFunctional, value_and_derivatives
+from ngvi.vloss import DerivativeBundle, LossFunctional, value_and_derivatives
 
 RULE5 = ExpectationRule("gauss_hermite", 5)
 
@@ -329,6 +329,27 @@ def test_graph_without_factors_assembles_the_entropy_term():
     assert np.allclose(bundle.grad_prec.full(), np.diag([0.25, 0.125]), rtol=1e-15, atol=0.0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factored_predicted_decrease_matches_the_generic_form(data):
+    # the one-product form (1/4) sum(D * D^T), D = I - H Sigma, against
+    # tr(P G P G) with the bundle's G carried explicitly
+    dim = data.draw(st.integers(1, 8), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    factor_list = []
+    for k in range(data.draw(st.integers(1, 12), label="factors")):
+        arity = int(rng.integers(1, min(4, dim) + 1))
+        indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        factor_list.append(random_factor(f"f{k}", indices, rng))
+    graph = FactorGraph(dim, tuple(factor_list))
+    q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
+    bundle = assemble(graph, q, RULE5)
+    assert np.array_equal(bundle.hess, bundle.hess.T)
+    generic = DerivativeBundle(bundle.grad_mu, bundle.hess_mu, bundle.grad_prec)
+    expected = _predicted_decrease(q, generic)
+    assert abs(_predicted_decrease(q, bundle) - expected) <= 1e-12 * abs(expected)
+
+
 def test_assembly_factors_each_distinct_block_once(monkeypatch):
     # logistic regression: a prior and 300 observations over the same 3 weights
     rng = np.random.default_rng(15)
@@ -545,3 +566,9 @@ def test_optimizer_rejects_dimension_mismatch():
     q0 = MeanPrecision.from_dense(np.zeros(3), np.eye(3))
     with pytest.raises(DimensionError):
         optimize_factored(chain_graph(), q0, NgdConfig(rule=RULE5))
+
+
+def test_optimizer_refuses_a_graph_without_factors():
+    q0 = MeanPrecision.from_dense(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="factor graph has no factors"):
+        optimize_factored(FactorGraph(2, ()), q0, NgdConfig())

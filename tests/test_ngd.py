@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd, random_symmetric
 from ngvi.cli import load_problem
-from ngvi.factors import optimize_factored
+from ngvi.factors import SparsityError, optimize_factored
 from ngvi.fim import fim_inverse
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
 from ngvi.kronmat import duplication, matf, vec
@@ -20,8 +21,14 @@ from ngvi.ngd import (
 )
 from ngvi.quadrature import ExpectationRule, pointwise
 from ngvi.verify import natural_delta, step_canonical, step_generic
-from ngvi.vloss import DerivativeBundle, LossFunctional, derivatives, value_and_derivatives
-from ngvi.kronmat import SymmetricMatrix
+from ngvi.vloss import (
+    DerivativeBundle,
+    FactoredBundle,
+    LossFunctional,
+    derivatives,
+    value_and_derivatives,
+)
+from ngvi.kronmat import AsymmetricMatrixError, SymmetricMatrix
 
 RULE5 = ExpectationRule("gauss_hermite", 5)
 
@@ -302,6 +309,71 @@ def test_factored_run_inverts_one_dense_precision_per_iteration(monkeypatch):
     _, trace = optimize_factored(spec.graph, spec.init, spec.config)
     assert trace.converged and len(trace.records) >= 2
     assert len(dense) == len(trace.records)
+
+
+def test_factored_run_factors_and_packs_each_precision_once(monkeypatch):
+    # one n x n Cholesky per iteration, the definiteness test, whose factor
+    # the next iterate keeps; one packing per new iterate, and none for the
+    # precision derivative, which the step does not read
+    spec = load_problem("linear_chain")
+    n = spec.dimension
+    factorizations, packings = [], []
+    cholesky = np.linalg.cholesky
+    from_full = SymmetricMatrix.__dict__["from_full"].__func__
+
+    def counted_cholesky(a):
+        if np.shape(a) == (n, n):
+            factorizations.append(1)
+        return cholesky(a)
+
+    def counted_from_full(cls, a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            packings.append(1)
+        return from_full(cls, a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(SymmetricMatrix, "from_full", classmethod(counted_from_full))
+    _, trace = optimize_factored(spec.graph, spec.init, spec.config)
+    iterations = len(trace.records)
+    assert trace.converged and iterations >= 2
+    assert len(factorizations) == iterations
+    assert len(packings) <= iterations - 1
+    with pytest.raises(AsymmetricMatrixError):
+        SymmetricMatrix.from_full(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def tampered_chain_run(monkeypatch, tamper):
+    """Run linear_chain with ``tamper(hess)`` applied to the mean Hessian
+    of every assembly after the first."""
+    spec = load_problem("linear_chain")
+    assemble = factors._assemble
+    calls = []
+
+    def tampered(graph, q, rule):
+        value, bundle = assemble(graph, q, rule)
+        calls.append(1)
+        if len(calls) > 1:
+            bundle = FactoredBundle(bundle.grad_mu, tamper(bundle.hess.copy()), bundle.cov)
+        return value, bundle
+
+    monkeypatch.setattr(factors, "_assemble", tampered)
+    return optimize_factored(spec.graph, spec.init, spec.config)
+
+
+def test_factored_run_checks_each_new_iterate_pattern(monkeypatch):
+    def fill_in(hess):
+        hess[-1, 0] = hess[0, -1] = 0.1
+        return hess
+
+    with pytest.raises(SparsityError, match=r"\(3, 0\)"):
+        tampered_chain_run(monkeypatch, fill_in)
+
+
+def test_factored_run_raises_on_an_indefinite_hessian(monkeypatch):
+    with pytest.raises(IndefiniteHessianError) as excinfo:
+        tampered_chain_run(monkeypatch, np.negative)
+    assert excinfo.value.min_eigenvalue < 0.0
+    assert len(excinfo.value.trace.records) == 1
 
 
 def test_predicted_decrease_is_nonpositive():

@@ -26,9 +26,8 @@ def layer_units() -> dict:
 END_TO_END = ("setup_s", "solve_s", "run_s", "iter_ms", "iterations", "peak_rss_mb")
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_short_benchmark_run_is_correct(trace):
-    args = ["--workload", "range-slam", "--seed", "1", "--seconds", "0.1", "--trace", str(trace)]
+def short_run(workload: str, trace: int) -> None:
+    args = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", str(trace)]
     done = subprocess.run(
         [sys.executable, RUNNER, *args],
         cwd=ROOT,
@@ -41,3 +40,15 @@ def test_short_benchmark_run_is_correct(trace):
     assert result["correct"] is True and result["failed"] == 0, done.stdout
     expected = layer_units() if trace else dict.fromkeys(END_TO_END)
     assert set(expected) <= set(result["metrics"])
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_short_benchmark_run_is_correct(trace):
+    short_run("range-slam", trace)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_short_chain_benchmark_run_is_correct(trace):
+    # the tracer patches _assemble, from_full and __post_init__ by name;
+    # this covers those paths on the dense chain
+    short_run("chain", trace)
