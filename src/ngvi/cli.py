@@ -76,6 +76,16 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _known_fields(value, where: str, defaults: dict) -> dict:
+    """The JSON object at ``where`` over the keys of ``defaults``, which
+    fill the absent ones; an unknown key is refused with its field named."""
+    fields = _object(value, f"field {where!r}")
+    for key in fields:
+        if key not in defaults:
+            raise ProblemError(f"field '{where}.{key}' is unknown; expected one of {sorted(defaults)}")
+    return {**defaults, **fields}
+
+
 def _integer(value, where: str) -> int:
     if type(value) is not int:
         raise ProblemError(f"{where} must be an integer, found {value!r}")
@@ -283,7 +293,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     except ValueError as exc:
         raise ProblemError(str(exc)) from None
 
-    rule_raw = {"kind": "gauss_hermite", "order": 5, "seed": 0, **_object(raw.get("rule", {}), "field 'rule'")}
+    rule_raw = _known_fields(raw.get("rule", {}), "rule", {"kind": "gauss_hermite", "order": 5, "seed": 0})
     order = _integer(rule_raw["order"], "field 'rule.order'")
     seed = _integer(rule_raw["seed"], "field 'rule.seed'")
     try:
@@ -291,13 +301,11 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     except ValueError as exc:
         raise ProblemError(f"field 'rule': {exc}") from None
 
-    cfg_raw = {
-        "max_iters": 100,
-        "rel_tol": 1e-9,
-        "step_scale": 1.0,
-        "jitter": 0.0,
-        **_object(raw.get("config", {}), "field 'config'"),
-    }
+    cfg_raw = _known_fields(
+        raw.get("config", {}),
+        "config",
+        {"max_iters": 100, "rel_tol": 1e-9, "step_scale": 1.0, "jitter": 0.0},
+    )
     max_iters = _integer(cfg_raw["max_iters"], "field 'config.max_iters'")
     try:
         config = NgdConfig(
@@ -405,7 +413,6 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
             kind=args.rule if args.rule is not None else rule.kind,
             order=args.order if args.order is not None else rule.order,
             seed=args.seed if args.seed is not None else rule.seed,
-            point_budget=rule.point_budget,
         )
     cfg = spec.config
     config = NgdConfig(

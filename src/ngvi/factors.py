@@ -4,10 +4,10 @@ Each factor touches a subset of the variables through an index list (the
 projection); per-factor derivatives are evaluated over the factor's
 exact marginal and scatter-added into the global gradient and mean
 Hessian. Every marginal of one iteration is sliced from a single
-covariance, the inverse of the iterate's precision. The precision
-derivative (1/2) Sigma - (1/2) Sigma H Sigma is evidence for the
-derivative relation, not an input to the hybrid step, so the bundle
-builds it on demand, when first read. Because the Hessian only ever
+covariance, the inverse of the iterate's precision. The assembly returns
+the same ``vloss.DerivativeBundle`` as the dense path: the gradient, the
+dense mean Hessian and that covariance, from which the bundle derives the
+precision derivative when it is read. Because the Hessian only ever
 receives within-factor blocks, the precision support stays inside the
 factor-induced pattern at every iteration, and the optimizer asserts
 exactly that.
@@ -57,7 +57,7 @@ from .quadrature import (
     expect_weighted,
     _n_points,
 )
-from .vloss import FactoredBundle, LossFunctional
+from .vloss import DerivativeBundle, LossFunctional
 
 __all__ = [
     "Factor",
@@ -220,7 +220,7 @@ def extract_marginal(q, indices) -> MeanCovariance:
     return MeanCovariance.from_dense(q.mean[idx], sub)
 
 
-def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, FactoredBundle]:
+def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, DerivativeBundle]:
     """Loss value and derivative bundle by per-factor marginal expectations.
 
     The marginals are blocks of the iterate's one covariance, and
@@ -228,9 +228,8 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Fact
     block is sliced, factored and inverted once, each chunk of factors is
     swept by one ``expect_weighted`` call, and the moments are summed per
     block before the one map to derivatives (they are linear in phi).
-    Every group's block derivatives then go into one scatter. The
-    bundle's precision derivative (1/2) Sigma - (1/2) Sigma H Sigma is
-    built on demand, when first read: the hybrid step does not use it.
+    Every group's block derivatives then go into one scatter. The bundle
+    carries the covariance the marginals were sliced from.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
@@ -283,7 +282,7 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Fact
     flat = np.bincount(graph._scatter_index, values, n + n * n)
     # every block is exactly symmetric and (i, j) and (j, i) receive its
     # equal entries in the same order, so the Hessian is exactly symmetric
-    bundle = FactoredBundle(flat[:n], flat[n:].reshape(n, n), sigma)
+    bundle = DerivativeBundle(flat[:n], flat[n:].reshape(n, n), sigma)
     return total + 0.5 * _logdet_from_chol(q.chol), bundle
 
 
@@ -302,7 +301,7 @@ def _raise_first_failure(
             raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
 
 
-def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> FactoredBundle:
+def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:
     """Global derivative bundle scatter-added from per-factor derivatives."""
     return _assemble(graph, q, rule)[1]
 
@@ -325,7 +324,7 @@ def total_phi(graph: FactorGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def as_loss(graph: FactorGraph) -> LossFunctional:
-    return LossFunctional(graph.dim, total_phi(graph), factorization=graph)
+    return LossFunctional(graph.dim, total_phi(graph))
 
 
 def optimize_factored(

@@ -29,7 +29,6 @@ __all__ = [
     "mean_of",
     "cov_of",
     "prec_of",
-    "dim_of",
 ]
 
 FORM_TAGS = ("mean_cov", "mean_prec", "natural")
@@ -167,10 +166,6 @@ class NaturalForm:
 
 
 GaussianDistribution = MeanCovariance | MeanPrecision | NaturalForm
-
-
-def dim_of(g) -> int:
-    return g.dim
 
 
 def mean_of(g) -> np.ndarray:

@@ -8,8 +8,12 @@ and solves for the mean change against that new precision:
     mu    <-  mu + step_scale * delta_mu
 
 The precision assignment is never damped; ``step_scale`` applies to the
-mean change only. The canonical and generic inverse-FIM steps that the
-paper's evidence compares against live in ``ngvi.verify``.
+mean change only. Dense and factored assemblies hand the iteration the
+same ``vloss.DerivativeBundle``: the step reads its mean gradient and
+dense mean Hessian, and the predicted decrease adds its covariance, so
+each has one formula for every problem. The canonical and generic
+inverse-FIM steps that the paper's evidence compares against live in
+``ngvi.verify``.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MeanPrecision, convert, cov_of, prec_of
+from .gaussian import MeanPrecision, convert
 from .quadrature import ExpectationRule, default_rule
-from .vloss import DerivativeBundle, FactoredBundle, LossFunctional, value_and_derivatives
+from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
 
 __all__ = [
     "ConfigError",
@@ -92,9 +96,7 @@ def _fingerprint(half: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(half).tobytes()).hexdigest()[:16]
 
 
-def _hybrid_delta(
-    d: DerivativeBundle | FactoredBundle, jitter: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hybrid_delta(d: DerivativeBundle, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(delta_mu, new precision, its lower Cholesky factor) of the hybrid
     update; raises on a non-finite or indefinite mean Hessian."""
     hess = d.hess
@@ -117,7 +119,7 @@ def _hybrid_delta(
 
 def step_hybrid(
     q: MeanPrecision,
-    d: DerivativeBundle | FactoredBundle,
+    d: DerivativeBundle,
     step_scale: float = 1.0,
     jitter: float = 0.0,
 ) -> MeanPrecision:
@@ -126,16 +128,16 @@ def step_hybrid(
     return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, hess, chol)
 
 
-def _predicted_decrease(q, d: DerivativeBundle | FactoredBundle) -> float:
+def _predicted_decrease(d: DerivativeBundle) -> float:
     """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
 
     The inverse FIM is Sigma on the mean block and 2 P (x) P on the
     precision block (``fim.fim_inverse(q, "alpha")``), so this is
     -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
-    Sigma is the iterate's shared covariance, which the assembly has
-    already inverted; tr(prod @ prod) is summed elementwise, in O(n^2).
+    Sigma is the bundle's covariance, which the assembly has already
+    inverted.
 
-    A factored bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
+    The bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
     Hessian H. With P Sigma = I, P G = (1/2)(I - M) for M = H Sigma, so
 
         tr(P G P G) = (1/4) tr((I - M)^2) = (1/4)(n - 2 tr M + sum(M * M^T)),
@@ -144,14 +146,9 @@ def _predicted_decrease(q, d: DerivativeBundle | FactoredBundle) -> float:
     (1/4) sum(D * D^T) with D = I - M, which does not cancel as M nears
     I at a fixed point.
     """
-    if isinstance(d, FactoredBundle):
-        resid = -(d.hess @ d.cov)
-        resid[np.diag_indices_from(resid)] += 1.0
-        prec_term = 0.25 * np.sum(resid * resid.T)
-    else:
-        prod = prec_of(q) @ d.grad_prec.full()
-        prec_term = np.sum(prod * prod.T)
-    return float(-0.5 * d.grad_mu @ (cov_of(q) @ d.grad_mu) - prec_term)
+    resid = -(d.hess @ d.cov)
+    resid[np.diag_indices_from(resid)] += 1.0
+    return float(-0.5 * d.grad_mu @ (d.cov @ d.grad_mu) - 0.25 * np.sum(resid * resid.T))
 
 
 def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPrecision, IterationTrace]:
@@ -186,7 +183,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
                 mean=q.mean.copy(),
                 prec_fingerprint=_fingerprint(q.prec.half),
                 accepted=accepted,
-                predicted_decrease=_predicted_decrease(q, bundle),
+                predicted_decrease=_predicted_decrease(bundle),
             )
         )
         prec_old = q.precision

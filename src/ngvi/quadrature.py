@@ -35,6 +35,7 @@ from . import gaussian
 from .gaussian import mean_of
 
 __all__ = [
+    "POINT_BUDGET",
     "ExpectationRule",
     "EvaluationError",
     "IntegrandShapeError",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _KINDS = ("gauss_hermite", "monte_carlo")
+
+# Largest Gauss-Hermite tensor grid a sweep may build, in points.
+POINT_BUDGET = 1_000_000
 
 
 class EvaluationError(RuntimeError):
@@ -64,13 +68,14 @@ class ExpectationRule:
     """Quadrature or Monte Carlo scheme for Gaussian expectations.
 
     ``order`` is points per dimension for gauss_hermite and total sample
-    count for monte_carlo. The tensor grid must stay within point_budget.
+    count for monte_carlo. The tensor grid must stay within
+    ``POINT_BUDGET``; ``seed`` keys the Monte Carlo draws and must be
+    non-negative.
     """
 
     kind: str = "gauss_hermite"
     order: int = 5
     seed: int = 0
-    point_budget: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -79,8 +84,8 @@ class ExpectationRule:
             raise ValueError("gauss_hermite order must be in [1, 20]")
         if self.kind == "monte_carlo" and self.order < 1:
             raise ValueError("monte_carlo sample count must be positive")
-        if self.point_budget < 1:
-            raise ValueError("point budget must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, found {self.seed!r}")
 
 
 def default_rule(dim: int) -> ExpectationRule:
@@ -145,10 +150,8 @@ def _node_table(rule: ExpectationRule, dim: int) -> tuple[np.ndarray, np.ndarray
     if rule.kind == "monte_carlo":
         z = gaussian._standard_draws(count, dim, rule.seed)
         return z, np.full(count, 1.0 / count), _pairwise(z)
-    if count > rule.point_budget:
-        raise ValueError(
-            f"tensor grid of {rule.order}^{dim} points exceeds budget {rule.point_budget}"
-        )
+    if count > POINT_BUDGET:
+        raise ValueError(f"tensor grid of {rule.order}^{dim} points exceeds budget {POINT_BUDGET}")
     return _gh_table(rule.order, dim)
 
 

@@ -4,29 +4,30 @@ V(q) = E_q[phi(x)] + (1/2) ln |prec|, with phi(x) the negative log joint
 likelihood; additive constants are dropped, so only differences of V are
 meaningful. ``phi`` is a batched integrand (see ``ngvi.quadrature``): it
 maps a (P, n) array of points to their P values, and a scalar function
-of one point enters through ``quadrature.pointwise``. The three
-derivative blocks
+of one point enters through ``quadrature.pointwise``. The two mean
+derivatives
 
-    grad_mu   = prec @ E[(x - mu) phi]
-    hess_mu   = prec @ E[(x - mu)(x - mu)^T phi] @ prec - prec * E[phi]
-    grad_prec = -(1/2) E[(x - mu)(x - mu)^T phi] + (1/2) cov * E[phi] + (1/2) cov
+    grad_mu = prec @ E[(x - mu) phi]
+    hess_mu = prec @ E[(x - mu)(x - mu)^T phi] @ prec - prec * E[phi]
 
-come from a single weighted-expectation sweep. grad_prec is computed
-directly rather than through the relation
+come from a single weighted-expectation sweep. Every assembly, dense
+(``value_and_derivatives``) or factored (``factors.assemble``), returns
+them in one ``DerivativeBundle`` with the iterate's covariance. The
+precision derivative follows from the paper's relation
 
     grad_prec = (1/2) cov - (1/2) cov @ hess_mu @ cov
 
-so the relation remains a genuine cross-check. That cross-check and the
-finite-difference validation of all three blocks (``fd_check``) live in
-``ngvi.verify``. A factored assembly returns a ``FactoredBundle``, whose
-precision derivative is the relation itself, built only when read.
+and is built only when read: the hybrid step needs only grad_mu and the
+mean Hessian. The direct moment formula for grad_prec, which criterion 5
+compares with this relation, and the finite-difference validation of all
+three blocks (``fd_check``) live in ``ngvi.verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .quadrature import ExpectationRule, expect_scalar, expect_weighted
 __all__ = [
     "LossFunctional",
     "DerivativeBundle",
-    "FactoredBundle",
     "value",
     "derivatives",
     "value_and_derivatives",
@@ -46,12 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LossFunctional:
-    """phi(x) = -ln p(x, z), batched over the rows of x, optionally
-    carrying its factor decomposition."""
+    """phi(x) = -ln p(x, z), batched over the rows of x."""
 
     dim: int
     phi: Callable[[np.ndarray], np.ndarray]
-    factorization: Any = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -60,21 +58,7 @@ class LossFunctional:
 
 @dataclass(frozen=True, eq=False)
 class DerivativeBundle:
-    """First and second mean derivatives of V plus the precision derivative."""
-
-    grad_mu: np.ndarray
-    hess_mu: SymmetricMatrix
-    grad_prec: SymmetricMatrix
-
-    @cached_property
-    def hess(self) -> np.ndarray:
-        """The mean Hessian as a dense, exactly symmetric array."""
-        return self.hess_mu.full()
-
-
-@dataclass(frozen=True, eq=False)
-class FactoredBundle:
-    """The derivatives of a factored assembly: the mean gradient, the dense,
+    """The derivatives of V at one iterate: the mean gradient, the dense,
     exactly symmetric mean Hessian ``hess`` and the iterate's covariance
     ``cov``. The precision derivative follows from the relation
 
@@ -116,21 +100,12 @@ def value(loss: LossFunctional, q, rule: ExpectationRule) -> float:
 def value_and_derivatives(
     loss: LossFunctional, q, rule: ExpectationRule
 ) -> tuple[float, DerivativeBundle]:
-    """Loss value and all three derivative blocks from one shared sweep."""
+    """Loss value and derivative bundle from one shared sweep."""
     _check_dims(loss, q)
     scalar, vector, matrix = expect_weighted(rule, q, loss.phi)
     prec = prec_of(q)
-    cov = cov_of(q)
-    grad_mu = prec @ vector
-    hess_mu = prec @ matrix @ prec - prec * scalar
-    hess_mu = 0.5 * (hess_mu + hess_mu.T)
-    grad_prec = -0.5 * matrix + 0.5 * cov * scalar + 0.5 * cov
-    grad_prec = 0.5 * (grad_prec + grad_prec.T)
-    bundle = DerivativeBundle(
-        grad_mu,
-        SymmetricMatrix.from_full(hess_mu),
-        SymmetricMatrix.from_full(grad_prec),
-    )
+    hess = prec @ matrix @ prec - prec * scalar
+    bundle = DerivativeBundle(prec @ vector, 0.5 * (hess + hess.T), cov_of(q))
     return scalar + 0.5 * _logdet_prec(q), bundle
 
 

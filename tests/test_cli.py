@@ -219,6 +219,14 @@ def test_zero_max_iters_override_exits_one(capsys, tmp_path):
     assert "max_iters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["gauss_hermite", "monte_carlo"])
+def test_negative_seed_override_exits_one(capsys, tmp_path, rule):
+    out = tmp_path / "out"
+    assert main(["run", "scalar_gaussian", "-o", str(out), "--rule", rule, "--seed", "-3"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_max_iters_exhaustion_exits_two(tmp_path):
     # logistic_1d needs ~11 iterations; 2 is not enough
     out = tmp_path / "out"
@@ -357,6 +365,10 @@ def _set(path, value):
         pytest.param(_set(["config", "max_iters"], 2.5), "'config.max_iters'", id="fractional-max-iters"),
         pytest.param(_set(["rule", "order"], 5.5), "'rule.order'", id="fractional-order"),
         pytest.param(_set(["rule", "seed"], 0.5), "'rule.seed'", id="fractional-seed"),
+        pytest.param(_set(["rule", "seed"], -3), "'rule'", id="negative-seed"),
+        pytest.param(_set(["rule"], {"kind": "monte_carlo", "order": 64, "seed": -3}), "'rule'", id="negative-mc-seed"),
+        pytest.param(_set(["rule", "points"], 9), "'rule.points'", id="unknown-rule-key"),
+        pytest.param(_set(["config", "tolerance"], 3), "'config.tolerance'", id="unknown-config-key"),
         pytest.param(_set(["init", "mean", 0], NAN), "'init.mean'", id="nan-init-mean"),
         pytest.param(_set(["init", "matrix_vech", 0], "1.5"), "'init.matrix_vech'", id="string-init-vech"),
         pytest.param(_set(["config", "rel_tol"], "1e-9"), "'config.rel_tol'", id="string-rel-tol"),

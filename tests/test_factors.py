@@ -22,7 +22,7 @@ from ngvi.factors import (
 )
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
 from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
-from ngvi.ngd import NgdConfig, _predicted_decrease
+from ngvi.ngd import NgdConfig, _predicted_decrease, optimize
 from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
@@ -31,7 +31,7 @@ from ngvi.quadrature import (
     expect_weighted,
     pointwise,
 )
-from ngvi.vloss import DerivativeBundle, LossFunctional, value_and_derivatives
+from ngvi.vloss import LossFunctional, value_and_derivatives
 
 RULE5 = ExpectationRule("gauss_hermite", 5)
 
@@ -345,9 +345,9 @@ def test_factored_predicted_decrease_matches_the_generic_form(data):
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
     bundle = assemble(graph, q, RULE5)
     assert np.array_equal(bundle.hess, bundle.hess.T)
-    generic = DerivativeBundle(bundle.grad_mu, bundle.hess_mu, bundle.grad_prec)
-    expected = _predicted_decrease(q, generic)
-    assert abs(_predicted_decrease(q, bundle) - expected) <= 1e-12 * abs(expected)
+    prod = q.precision @ bundle.grad_prec.full()
+    expected = -0.5 * bundle.grad_mu @ q.covariance @ bundle.grad_mu - np.sum(prod * prod.T)
+    assert abs(_predicted_decrease(bundle) - expected) <= 1e-12 * abs(expected)
 
 
 def test_assembly_factors_each_distinct_block_once(monkeypatch):
@@ -528,11 +528,48 @@ def test_factored_matches_unfactored_optimum():
     q0 = MeanPrecision.from_dense(np.zeros(4), np.eye(4))
     cfg = NgdConfig(rule=RULE5)
     q_f, _ = optimize_factored(graph, q0, cfg)
-    from ngvi.ngd import optimize
-
     q_u, _ = optimize(as_loss(graph), q0, cfg)
     assert np.allclose(q_f.mean, q_u.mean, atol=1e-9)
     assert np.allclose(q_f.prec.full(), q_u.prec.full(), atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_factored_equals_unfactored_on_random_convex_graphs(data):
+    # a quartic with nonnegative x^2 and x^4 terms on every variable plus
+    # 1-5 Gaussian terms of arity 1-3: convex, so every iterate's mean
+    # Hessian is positive definite
+    dim = data.draw(st.integers(1, 4), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    factor_list = []
+    for i in range(dim):
+        c1, c2, c4 = rng.standard_normal(), rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0)
+        phi = build_phi("polynomial", {"coefficients": [0.0, c1, c2, 0.0, c4]}, 1, f"p{i}")
+        factor_list.append(Factor(f"p{i}", (i,), phi))
+    for k in range(data.draw(st.integers(1, 5), label="quadratics")):
+        arity = int(rng.integers(1, min(3, dim) + 1))
+        indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        params = random_phi_params("gaussian_quadratic", arity, rng)
+        factor_list.append(Factor(f"q{k}", indices, build_phi("gaussian_quadratic", params, arity, f"q{k}")))
+    graph = FactorGraph(dim, tuple(factor_list))
+    q0 = MeanPrecision.from_dense(rng.standard_normal(dim), np.diag(rng.uniform(0.5, 2.0, dim)))
+
+    def rel(found, expected):
+        return np.max(np.abs(found - expected)) / np.max(np.abs(expected))
+
+    value_f, bundle_f = factors._assemble(graph, q0, RULE5)
+    value_u, bundle_u = value_and_derivatives(as_loss(graph), q0, RULE5)
+    assert rel(value_f, value_u) <= 1e-12
+    assert rel(bundle_f.grad_mu, bundle_u.grad_mu) <= 1e-12
+    assert rel(bundle_f.hess, bundle_u.hess) <= 1e-12
+    assert rel(_predicted_decrease(bundle_f), _predicted_decrease(bundle_u)) <= 1e-12
+
+    # a tolerance so small that both runs take all five steps
+    cfg = NgdConfig(max_iters=5, rel_tol=1e-300, rule=RULE5)
+    q_f, _ = optimize_factored(graph, q0, cfg)
+    q_u, _ = optimize(as_loss(graph), q0, cfg)
+    assert rel(q_f.mean, q_u.mean) <= 1e-10
+    assert rel(q_f.prec.full(), q_u.prec.full()) <= 1e-10
 
 
 def test_total_phi_sums_factors():

@@ -1,5 +1,6 @@
 """The benchmark runs against this tree: its tracer finds every span it
-looks up, and short untraced and traced runs report correct answers."""
+looks up, and short untraced and traced runs of every workload declared in
+``BENCHMARK.json`` report correct answers."""
 
 import ast
 import json
@@ -23,7 +24,10 @@ def layer_units() -> dict:
     raise AssertionError("perfbench/run.py defines no LAYER_UNITS")
 
 
-END_TO_END = ("setup_s", "solve_s", "run_s", "iter_ms", "iterations", "peak_rss_mb")
+def benchmark() -> dict:
+    """The benchmark declaration, ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def short_run(workload: str, trace: int) -> None:
@@ -35,20 +39,19 @@ def short_run(workload: str, trace: int) -> None:
         text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, (workload, done.stderr)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, done.stdout
-    expected = layer_units() if trace else dict.fromkeys(END_TO_END)
-    assert set(expected) <= set(result["metrics"])
+    assert result["correct"] is True and result["failed"] == 0, (workload, done.stdout)
+    expected = layer_units() if trace else {m["name"] for m in benchmark()["end_to_end"]}
+    assert set(expected) <= set(result["metrics"]), workload
 
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_short_benchmark_run_is_correct(trace):
-    short_run("range-slam", trace)
-
-
-@pytest.mark.parametrize("trace", [0, 1])
-def test_short_chain_benchmark_run_is_correct(trace):
     # the tracer patches _assemble, from_full and __post_init__ by name;
-    # this covers those paths on the dense chain
-    short_run("chain", trace)
+    # every declared workload covers those paths: the dense chain, the
+    # nonconvex range-slam and logreg's one shared block
+    workloads = [w["name"] for w in benchmark()["workloads"]]
+    assert workloads
+    for workload in workloads:
+        short_run(workload, trace)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ngvi._testing import random_gaussian
 from ngvi.gaussian import MeanCovariance, MeanPrecision, _draw, _standard_draws, convert
 from ngvi.quadrature import (
+    POINT_BUDGET,
     EvaluationError,
     ExpectationRule,
     IntegrandShapeError,
@@ -28,8 +29,10 @@ def test_rule_validation():
         ExpectationRule(kind="gauss_hermite", order=21)
     with pytest.raises(ValueError):
         ExpectationRule(kind="monte_carlo", order=0)
-    with pytest.raises(ValueError):
-        ExpectationRule(point_budget=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ExpectationRule(kind="monte_carlo", order=10, seed=-3)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ExpectationRule(kind="gauss_hermite", seed=-1)
 
 
 def test_default_rule_switches_to_monte_carlo():
@@ -38,9 +41,11 @@ def test_default_rule_switches_to_monte_carlo():
 
 
 def test_point_budget_enforced():
-    rule = ExpectationRule("gauss_hermite", order=20, point_budget=100)
-    g = MeanCovariance.from_dense([0.0, 0.0], np.eye(2))
-    with pytest.raises(ValueError):
+    # 20^5 = 3.2e6 points: refused before the grid is built
+    assert 20**5 > POINT_BUDGET
+    rule = ExpectationRule("gauss_hermite", order=20)
+    g = MeanCovariance.from_dense(np.zeros(5), np.eye(5))
+    with pytest.raises(ValueError, match="exceeds budget"):
         expect_scalar(rule, g, pointwise(lambda x: 0.0))
 
 

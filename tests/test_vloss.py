@@ -7,7 +7,7 @@ from ngvi._testing import random_gaussian, random_spd
 from ngvi.gaussian import MeanPrecision, NotPositiveDefiniteError, convert
 from ngvi.kronmat import DimensionError
 from ngvi.quadrature import ExpectationRule, pointwise
-from ngvi.verify import fd_check
+from ngvi.verify import direct_grad_prec, fd_check
 from ngvi.vloss import (
     LossFunctional,
     derivatives,
@@ -74,7 +74,8 @@ def test_gradient_vanishes_at_stationary_point():
 
 
 def test_precision_to_mean_hessian_relation_quartic():
-    # grad_prec = (1/2) Sigma - (1/2) Sigma hess_mu Sigma, polynomial integrand
+    # the direct moment formula for grad_prec against the bundle's
+    # (1/2) Sigma - (1/2) Sigma hess_mu Sigma, polynomial integrand
     rng = np.random.default_rng(3)
     n = 2
     g = random_gaussian(n, rng)
@@ -83,19 +84,17 @@ def test_precision_to_mean_hessian_relation_quartic():
         return float(0.1 * np.sum(x**4) + 0.5 * x @ x + 0.2 * x[0] * x[1] + x[0])
 
     loss = LossFunctional(n, pointwise(quartic))
-    bundle = derivatives(loss, g, ExpectationRule("gauss_hermite", 7))
-    sigma = g.cov.full()
-    relation = 0.5 * sigma - 0.5 * sigma @ bundle.hess_mu.full() @ sigma
-    assert np.max(np.abs(bundle.grad_prec.full() - relation)) < 1e-8
+    rule = ExpectationRule("gauss_hermite", 7)
+    relation = derivatives(loss, g, rule).grad_prec.full()
+    assert np.max(np.abs(direct_grad_prec(loss, g, rule) - relation)) < 1e-8
 
 
 def test_precision_to_mean_hessian_relation_cosine():
     g = MeanPrecision.from_dense([0.2], [[1.5]])
     loss = LossFunctional(1, pointwise(lambda x: float(np.cos(x[0]))))
-    bundle = derivatives(loss, g, ExpectationRule("gauss_hermite", 15))
-    sigma = 1.0 / 1.5
-    relation = 0.5 * sigma - 0.5 * sigma * bundle.hess_mu.full()[0, 0] * sigma
-    assert abs(bundle.grad_prec.full()[0, 0] - relation) < 1e-6
+    rule = ExpectationRule("gauss_hermite", 15)
+    relation = derivatives(loss, g, rule).grad_prec.full()
+    assert abs(direct_grad_prec(loss, g, rule)[0, 0] - relation[0, 0]) < 1e-6
 
 
 def test_value_and_derivatives_shares_one_sweep():
