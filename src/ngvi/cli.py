@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from . import verify
-from .factors import Factor, FactorGraph, SparsityError, optimize_factored
+from .factors import Factor, FactorGraph, SparsityError, _quadratic_phi, optimize_factored
 from .gaussian import (
     MeanCovariance,
     MeanPrecision,
@@ -45,7 +45,16 @@ __all__ = ["main", "load_problem", "parse_estimate", "build_phi", "ProblemSpec"]
 SCHEMA = "ngvi-problem/1"
 ESTIMATE_SCHEMA = "ngvi-estimate/1"
 
-PHI_KINDS = ("gaussian_quadratic", "logistic_bernoulli", "nonlinear_range", "polynomial")
+# the keys a problem file may use: at the root, in a factor entry, and in
+# a ``phi`` object, per kind
+ROOT_FIELDS = frozenset({"schema", "name", "dimension", "init", "factors", "rule", "config"})
+FACTOR_FIELDS = frozenset({"id", "indices", "phi"})
+PHI_FIELDS = {
+    "gaussian_quadratic": frozenset({"kind", "m", "P"}),
+    "logistic_bernoulli": frozenset({"kind", "feature", "label"}),
+    "nonlinear_range": frozenset({"kind", "distance", "variance", "landmark"}),
+    "polynomial": frozenset({"kind", "coefficients"}),
+}
 
 
 class ProblemError(ValueError):
@@ -62,8 +71,12 @@ class ProblemSpec:
     config: NgdConfig
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(values) -> str:
+    """The values, 17 significant digits each, space-separated. One
+    ``%`` over the Python floats of ``tolist`` gives the text of
+    ``format(float(v), ".17g")`` per value at half its cost."""
+    values = np.asarray(values, dtype=float).reshape(-1).tolist()
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +89,22 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _refuse_unknown(fields: dict, where: str, known) -> None:
+    """Refuse the first key of the JSON object at ``where`` (the root if
+    empty) that is not in ``known``, with its field named. Callers on a
+    per-factor path test ``fields.keys() <= known`` first, which is cheaper
+    than building ``where``."""
+    for key in fields:
+        if key not in known:
+            path = f"{where}.{key}" if where else key
+            raise ProblemError(f"field '{path}' is unknown; expected one of {sorted(known)}")
+
+
 def _known_fields(value, where: str, defaults: dict) -> dict:
     """The JSON object at ``where`` over the keys of ``defaults``, which
     fill the absent ones; an unknown key is refused with its field named."""
     fields = _object(value, f"field {where!r}")
-    for key in fields:
-        if key not in defaults:
-            raise ProblemError(f"field '{where}.{key}' is unknown; expected one of {sorted(defaults)}")
+    _refuse_unknown(fields, where, defaults)
     return {**defaults, **fields}
 
 
@@ -134,38 +156,45 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
     batched integrand: (P, n_indices) points to their P values.
 
     Every parameter must be present, numeric and finite; a malformed one
-    raises ProblemError naming the factor and the field.
+    raises ProblemError naming the factor and the field. A problem file's
+    ``gaussian_quadratic`` factors are built by ``Factor.gaussian`` from the
+    same checked (m, P), which gives them this integrand and also the
+    closed form the assembly takes in its place.
     """
-    owner = f"factor {factor_id!r}: "
+    try:
+        return _phi(kind, params, n_indices)
+    except ProblemError as exc:
+        raise ProblemError(f"factor {factor_id!r}: {exc}") from None
 
-    def field(key: str) -> str:
-        return f"{owner}field {key!r}"
 
+def _quadratic_params(params: dict, n_indices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, P) of a ``gaussian_quadratic`` factor, checked."""
+    m = _numbers(params.get("m"), "field 'm'").reshape(-1)
+    p = _numbers(params.get("P"), "field 'P'")
+    if m.shape[0] != n_indices:
+        raise ProblemError(f"field 'm' must have one entry per index ({n_indices})")
+    if p.shape != (n_indices, n_indices):
+        raise ProblemError(f"field 'P' must be a {n_indices}x{n_indices} matrix")
+    try:
+        check_symmetric(p)
+    except AsymmetricMatrixError as exc:
+        raise ProblemError(f"field 'P': {exc}") from None
+    return m, p
+
+
+def _phi(kind: str, params: dict, n_indices: int):
+    """``build_phi`` with errors that name the field alone: the caller adds
+    the factor, so no message is built for a valid factor."""
     if kind == "gaussian_quadratic":
-        m = _numbers(params.get("m"), field("m")).reshape(-1)
-        p = _numbers(params.get("P"), field("P"))
-        if m.shape[0] != n_indices:
-            raise ProblemError(f"{field('m')} must have one entry per index ({n_indices})")
-        if p.shape != (n_indices, n_indices):
-            raise ProblemError(f"{field('P')} must be a {n_indices}x{n_indices} matrix")
-        try:
-            check_symmetric(p)
-        except AsymmetricMatrixError as exc:
-            raise ProblemError(f"{field('P')}: {exc}") from None
-
-        def phi(u: np.ndarray) -> np.ndarray:
-            d = u - m
-            return np.einsum("pj,pj->p", 0.5 * d @ p, d)
-
-        return phi
+        return _quadratic_phi(*_quadratic_params(params, n_indices))
     if kind == "logistic_bernoulli":
-        a = _numbers(params.get("feature"), field("feature")).reshape(-1)
-        label = _number(params.get("label"), field("label"))
+        a = _numbers(params.get("feature"), "field 'feature'").reshape(-1)
+        label = _number(params.get("label"), "field 'label'")
         if label not in (0.0, 1.0):
-            raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
+            raise ProblemError(f"field 'label' must be 0 or 1, found {params['label']!r}")
         y = int(label)
         if a.shape[0] != n_indices:
-            raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
+            raise ProblemError(f"field 'feature' must have one entry per index ({n_indices})")
 
         def phi(u: np.ndarray) -> np.ndarray:
             t = u @ a
@@ -173,18 +202,18 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "nonlinear_range":
-        distance = _number(params.get("distance"), field("distance"))
-        variance = _number(params.get("variance"), field("variance"))
+        distance = _number(params.get("distance"), "field 'distance'")
+        variance = _number(params.get("variance"), "field 'variance'")
         if not 0.0 <= distance < math.inf:
-            raise ProblemError(f"{field('distance')} must be finite and nonnegative, found {distance!r}")
+            raise ProblemError(f"field 'distance' must be finite and nonnegative, found {distance!r}")
         if not 0.0 < variance < math.inf:
-            raise ProblemError(f"{field('variance')} must be finite and positive, found {variance!r}")
+            raise ProblemError(f"field 'variance' must be finite and positive, found {variance!r}")
         if params.get("landmark") is not None:
-            point = _numbers(params["landmark"], field("landmark")).reshape(-1)
+            point = _numbers(params["landmark"], "field 'landmark'").reshape(-1)
             if point.shape[0] != 2 or n_indices != 2:
                 raise ProblemError(
-                    f"{field('landmark')}: fixed-landmark range factors take "
-                    f"2 indices and a 2-vector landmark"
+                    "field 'landmark': fixed-landmark range factors take "
+                    "2 indices and a 2-vector landmark"
                 )
 
             def phi(u: np.ndarray) -> np.ndarray:
@@ -194,8 +223,8 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
             return phi
         if n_indices != 4:
             raise ProblemError(
-                f"{field('landmark')} is missing: range factors take 2 indices "
-                f"and a landmark, or 4 indices (position pair, landmark pair)"
+                "field 'landmark' is missing: range factors take 2 indices "
+                "and a landmark, or 4 indices (position pair, landmark pair)"
             )
 
         def phi(u: np.ndarray) -> np.ndarray:
@@ -204,11 +233,11 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
 
         return phi
     if kind == "polynomial":
-        coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
+        coeffs = _numbers(params.get("coefficients"), "field 'coefficients'").reshape(-1)
         if coeffs.shape[0] == 0:
-            raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
+            raise ProblemError("field 'coefficients' must hold at least one coefficient")
         if n_indices != 1:
-            raise ProblemError(f"{owner}polynomial factors take 1 index")
+            raise ProblemError("polynomial factors take 1 index")
 
         def phi(u: np.ndarray) -> np.ndarray:
             # Horner's rule as np.polynomial.polynomial.polyval does it,
@@ -220,7 +249,7 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
             return value
 
         return phi
-    raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
+    raise ProblemError(f"field 'kind': unknown phi kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +281,7 @@ def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
 
 def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     raw = _object(raw, "field '<root>'")
+    _refuse_unknown(raw, "", ROOT_FIELDS)
     if raw.get("schema") != SCHEMA:
         raise ProblemError(
             f"field 'schema': expected {SCHEMA!r}, found {raw.get('schema')!r}"
@@ -261,7 +291,8 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     dimension = _integer(raw["dimension"], "field 'dimension'")
     if dimension < 1:
         raise ProblemError("field 'dimension' must be a positive integer")
-    init = _parse_init(_object(raw.get("init", {}), "field 'init'"), dimension)
+    init_raw = _known_fields(raw.get("init", {}), "init", dict.fromkeys(("form", "mean", "matrix_vech")))
+    init = _parse_init(init_raw, dimension)
 
     entries = raw.get("factors", [])
     if not isinstance(entries, list):
@@ -270,6 +301,8 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
+        if not entry.keys() <= FACTOR_FIELDS:
+            _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
         factor_id = entry.get("id")
         if not factor_id:
             raise ProblemError("every factor needs a nonempty 'id'")
@@ -281,10 +314,19 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         phi_raw = entry.get("phi", {})
         if not isinstance(phi_raw, dict):
             raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
-        phi = build_phi(phi_raw.get("kind"), phi_raw, len(indices), factor_id)
+        kind = phi_raw.get("kind")
+        known = PHI_FIELDS.get(kind) if isinstance(kind, str) else None
+        if known is not None and not phi_raw.keys() <= known:
+            _refuse_unknown(phi_raw, f"factors[{position}].phi", known)
         try:
-            factors.append(Factor(factor_id, tuple(indices), phi))
-        except ValueError as exc:
+            if kind == "gaussian_quadratic":
+                m, p = _quadratic_params(phi_raw, len(indices))
+                factors.append(Factor.gaussian(factor_id, indices, m, p))
+            else:
+                factors.append(Factor(factor_id, tuple(indices), _phi(kind, phi_raw, len(indices))))
+        except ProblemError as exc:
+            raise ProblemError(f"factor {factor_id!r}: {exc}") from None
+        except ValueError as exc:  # from Factor, which names the factor
             raise ProblemError(str(exc)) from None
     if not factors:
         raise ProblemError("field 'factors': at least one factor is required")
@@ -377,8 +419,8 @@ def write_estimate(path: str, q: MeanPrecision) -> None:
     lines = [
         f"# {ESTIMATE_SCHEMA}",
         f"# dimension {q.dim}",
-        "mean " + " ".join(_fmt(x) for x in q.mean),
-        "prec_vech " + " ".join(_fmt(x) for x in q.prec.half),
+        "mean " + _fmt(q.mean),
+        "prec_vech " + _fmt(q.prec.half),
     ]
     _atomic_write(path, "\n".join(lines) + "\n")
 

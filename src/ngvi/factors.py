@@ -26,13 +26,24 @@ prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian and
 prec E[(x - mu) phi] for the gradient. One scatter per iteration adds
 every block into the global gradient and Hessian.
 
+A Gaussian factor, built by ``Factor.gaussian`` as 0.5 (u - m)^T P (u - m),
+has these expectations in closed form: the value 0.5 r^T P r +
+0.5 tr(P Sigma_k) for r = mu_k - m, the gradient P r and the constant
+Hessian P. A rule exact to ``QUADRATIC_DEGREE`` (Gauss-Hermite of order 3
+or more) would sweep them to the same numbers up to rounding, so under
+such a rule the graph's Gaussian factors are stacked per arity once and
+integrated in closed form, and their ``local_phi`` is not called. Under
+Monte Carlo or Gauss-Hermite of order 1 or 2 they are swept like any other
+factor.
+
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -78,6 +89,12 @@ __all__ = [
 # graph; chunks of 4096 to 16384 points sweep equally fast.
 CHUNK_POINTS = 8192
 
+# The degree in z of the Stein Hessian integrand (z z^T - I) f of a quadratic
+# f, the highest of its three moments. A rule exact to this degree integrates
+# a Gaussian factor exactly, so its closed form differs from the sweep only
+# by rounding; under any other rule Gaussian factors are swept.
+QUADRATIC_DEGREE = 4
+
 
 class SparsityError(RuntimeError):
     """A precision matrix has nonzeros outside the factor-induced pattern."""
@@ -86,14 +103,20 @@ class SparsityError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class Factor:
     """A loss term over the sub-vector selected by ``indices``; its batched
-    ``local_phi`` maps (P, len(indices)) points to their P values."""
+    ``local_phi`` maps (P, len(indices)) points to their P values.
+
+    ``Factor.gaussian`` builds the quadratic 0.5 (u - m)^T P (u - m) and
+    records its (m, P) in ``quadratic``; a factor built from a
+    ``local_phi`` alone records none and is always swept.
+    """
 
     id: str
     indices: tuple[int, ...]
     local_phi: Callable[[np.ndarray], np.ndarray]
+    quadratic: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(map(int, self.indices))
         if not indices:
             raise ValueError(f"factor {self.id!r} has no variable indices")
         if len(set(indices)) != len(indices):
@@ -101,6 +124,36 @@ class Factor:
         if min(indices) < 0:
             raise ValueError(f"factor {self.id!r} has a negative variable index")
         object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def gaussian(cls, id: str, indices, m, P) -> "Factor":
+        """The factor 0.5 (u - m)^T P (u - m), its ``local_phi`` built from
+        the recorded (m, P) so that the two cannot disagree. The assembly
+        takes the symmetric part of P, the only part the form sees."""
+        indices = tuple(indices)
+        m = np.array(m, dtype=float)
+        p = np.array(P, dtype=float)
+        d = len(indices)
+        if m.shape != (d,) or p.shape != (d, d):
+            raise ValueError(
+                f"factor {id!r}: m of shape {m.shape} and P of shape {p.shape} "
+                f"do not fit {d} indices"
+            )
+        m.setflags(write=False)
+        p.setflags(write=False)
+        factor = cls(id, indices, _quadratic_phi(m, p))
+        object.__setattr__(factor, "quadratic", (m, p))
+        return factor
+
+
+def _quadratic_phi(m: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The batched integrand 0.5 (u - m)^T P (u - m)."""
+
+    def phi(u: np.ndarray) -> np.ndarray:
+        d = u - m
+        return np.einsum("pj,pj->p", 0.5 * d @ p, d)
+
+    return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,29 +174,37 @@ class FactorGraph:
         object.__setattr__(self, "factors", factors)
 
     @cached_property
-    def _groups(self) -> tuple["_Group", ...]:
-        """The factors grouped by arity, groups in order of first
-        appearance and factors in graph order; built once per graph, on
-        first use."""
-        groups: dict[int, list[Factor]] = {}
-        for f in self.factors:
-            groups.setdefault(len(f.indices), []).append(f)
-        out = []
-        for fs in groups.values():
-            indices = np.array([f.indices for f in fs], dtype=np.intp)
-            blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
-            out.append(_Group(tuple(fs), blocks, block_of.reshape(-1)))
-        return tuple(out)
+    def _swept(self) -> "_Plan":
+        """The assembly plan that sweeps every factor. Plans are built once
+        per graph, on first use."""
+        groups = _arity_groups(self.factors)
+        return _Plan(groups, (), _scatter_index(self.dim, groups, ()))
 
     @cached_property
-    def _scatter_index(self) -> np.ndarray:
-        """Flat positions, in the concatenation of the gradient (n) and the
-        row-major Hessian (n * n), of every group's block gradients then
-        every group's block Hessians: the one scatter of an assembly."""
-        n = self.dim
-        grads = [g.blocks.ravel() for g in self._groups]
-        hessians = [n + (g.blocks[:, :, None] * n + g.blocks[:, None, :]).ravel() for g in self._groups]
-        return np.concatenate(grads + hessians) if grads else np.zeros(0, dtype=np.intp)
+    def _closed(self) -> "_Plan":
+        """The assembly plan that sweeps the untagged factors and takes
+        the Gaussian ones in closed form, stacked per arity in graph order."""
+        tagged: dict[int, list[Factor]] = {}
+        untagged = []
+        for f in self.factors:
+            if f.quadratic is None:
+                untagged.append(f)
+            else:
+                tagged.setdefault(len(f.indices), []).append(f)
+        if not tagged:
+            return self._swept
+        groups = _arity_groups(untagged)
+        stacks = []
+        for fs in tagged.values():
+            p = np.array([f.quadratic[1] for f in fs])
+            stacks.append(
+                _Gaussians(
+                    np.array([f.indices for f in fs], dtype=np.intp),
+                    np.array([f.quadratic[0] for f in fs]),
+                    0.5 * (p + np.swapaxes(p, 1, 2)),
+                )
+            )
+        return _Plan(groups, tuple(stacks), _scatter_index(self.dim, groups, stacks))
 
 
 class _Group(NamedTuple):
@@ -154,6 +215,49 @@ class _Group(NamedTuple):
     blocks: np.ndarray
     # (K,) the block of each factor
     block_of: np.ndarray
+
+
+class _Gaussians(NamedTuple):
+    """Gaussian factors of one arity, stacked: the closed-form terms."""
+
+    # (K, d) index tuples, one per factor
+    blocks: np.ndarray
+    # (K, d) and (K, d, d): each factor's m and symmetric P
+    m: np.ndarray
+    p: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """What an assembly sweeps, what it takes in closed form, and where
+    the one scatter puts each block."""
+
+    groups: tuple[_Group, ...]
+    gaussians: tuple[_Gaussians, ...]
+    # flat positions, in the concatenation of the gradient (n) and the
+    # row-major Hessian (n * n), of the block gradients of every group then
+    # every stack, then of their block Hessians in the same order
+    scatter_index: np.ndarray
+
+
+def _arity_groups(factors) -> tuple[_Group, ...]:
+    """The factors grouped by arity, groups in order of first appearance
+    and factors in graph order."""
+    groups: dict[int, list[Factor]] = {}
+    for f in factors:
+        groups.setdefault(len(f.indices), []).append(f)
+    out = []
+    for fs in groups.values():
+        indices = np.array([f.indices for f in fs], dtype=np.intp)
+        blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
+        out.append(_Group(tuple(fs), blocks, block_of.reshape(-1)))
+    return tuple(out)
+
+
+def _scatter_index(n: int, groups, stacks) -> np.ndarray:
+    blocks = [g.blocks for g in (*groups, *stacks)]
+    grads = [b.ravel() for b in blocks]
+    hessians = [n + (b[:, :, None] * n + b[:, None, :]).ravel() for b in blocks]
+    return np.concatenate(grads + hessians) if blocks else np.zeros(0, dtype=np.intp)
 
 
 def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
@@ -167,13 +271,16 @@ def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
 
 
 def _pattern_mask(graph: FactorGraph) -> np.ndarray:
-    """The pattern as a mask over the half vector, from the groups' blocks."""
+    """The pattern as a mask over the half vector, from the blocks of an
+    assembly plan: either plan covers every factor, and this is the one the
+    default rules assemble with."""
     n = graph.dim
     allowed = np.zeros(half_len(n), dtype=bool)
     diagonal = np.arange(n)
     allowed[_vech_position(diagonal, diagonal, n)] = True
-    for group in graph._groups:
-        r, c = np.broadcast_arrays(group.blocks[:, :, None], group.blocks[:, None, :])
+    plan = graph._closed
+    for part in (*plan.groups, *plan.gaussians):
+        r, c = np.broadcast_arrays(part.blocks[:, :, None], part.blocks[:, None, :])
         lower = r >= c
         allowed[_vech_position(r[lower], c[lower], n)] = True
     return allowed
@@ -228,11 +335,15 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     block is sliced, factored and inverted once, each chunk of factors is
     swept by one ``expect_weighted`` call, and the moments are summed per
     block before the one map to derivatives (they are linear in phi).
-    Every group's block derivatives then go into one scatter. The bundle
-    carries the covariance the marginals were sliced from.
+    Under a rule exact to ``QUADRATIC_DEGREE``, the Gaussian factors are
+    not swept: each adds 0.5 r^T P r + 0.5 tr(P Sigma_k) to the value, P r
+    to the gradient and its constant P to the Hessian, for r = mu_k - m.
+    Every block's derivatives then go into one scatter. The bundle carries
+    the covariance the marginals were sliced from.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
+    plan = graph._closed if rule.exact_degree >= QUADRATIC_DEGREE else graph._swept
     try:
         sigma = q.covariance
     except np.linalg.LinAlgError:
@@ -242,7 +353,7 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     grads, hessians = [], []
     total = 0.0
     try:
-        for group in graph._groups:
+        for group in plan.groups:
             blocks, block_of = group.blocks, group.block_of
             count, dim = blocks.shape
             cov = sigma[blocks[:, :, None], blocks[:, None, :]]
@@ -275,13 +386,27 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
             grads.append(np.einsum("kij,kj->ki", prec, vector).ravel())
             hessians.append((0.5 * (hess + np.swapaxes(hess, 1, 2))).ravel())
             total += float(scalar.sum())
+        for stack in plan.gaussians:
+            blocks, p = stack.blocks, stack.p
+            cov = sigma[blocks[:, :, None], blocks[:, None, :]]
+            np.linalg.cholesky(cov)  # the definiteness test of every marginal
+            resid = q.mean[blocks] - stack.m
+            p_resid = (p @ resid[:, :, None])[:, :, 0]
+            value = 0.5 * float(np.vdot(resid, p_resid) + np.vdot(p, cov))
+            if not math.isfinite(value):
+                # an overflow; the factor-by-factor sweep names the factor
+                raise EvaluationError(f"Gaussian factors have expected value {value!r}", node=q.mean[blocks])
+            grads.append(p_resid.ravel())
+            hessians.append(p.ravel())
+            total += value
     except (np.linalg.LinAlgError, EvaluationError, IntegrandShapeError):
         _raise_first_failure(graph, q.mean, sigma, rule)
         raise
     values = np.concatenate(grads + hessians) if grads else np.zeros(0)
-    flat = np.bincount(graph._scatter_index, values, n + n * n)
-    # every block is exactly symmetric and (i, j) and (j, i) receive its
-    # equal entries in the same order, so the Hessian is exactly symmetric
+    flat = np.bincount(plan.scatter_index, values, n + n * n)
+    # every block, a Gaussian factor's P too, is exactly symmetric and (i, j)
+    # and (j, i) receive its equal entries in the same order, so the Hessian
+    # is exactly symmetric
     bundle = DerivativeBundle(flat[:n], flat[n:].reshape(n, n), sigma)
     return total + 0.5 * _logdet_from_chol(q.chol), bundle
 

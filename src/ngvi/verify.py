@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._testing import random_gaussian, random_spd, random_symmetric, random_well_conditioned
+from .factors import Factor, FactorGraph, optimize_factored
 from .fim import (
     PARAM_TAGS,
     central_hessian,
@@ -30,7 +31,7 @@ from .fim import (
 )
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_of, prec_of
 from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec
-from .ngd import step_hybrid
+from .ngd import NgdConfig, step_hybrid
 from .quadrature import ExpectationRule, expect_weighted, pointwise
 from .vloss import DerivativeBundle, LossFunctional, derivatives, value
 
@@ -378,15 +379,41 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
     return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
 
 
+def _factored_one_step_residual(rng: np.random.Generator, n: int) -> float:
+    """Distance of one factored hybrid step from the closed-form posterior
+    (sum S^T P S, solved for the mean) of a random graph of
+    ``Factor.gaussian`` factors of arity 1-3 over ``n`` variables, the
+    first of which cover every variable."""
+    order = [int(i) for i in rng.permutation(n)]
+    blocks = [order[i : i + 3] for i in range(0, n, 3)]
+    blocks += [[int(i) for i in rng.choice(n, int(rng.integers(1, 4)), replace=False)] for _ in range(n)]
+    prec_post = np.zeros((n, n))
+    shift = np.zeros(n)
+    gaussians = []
+    for k, idx in enumerate(blocks):
+        m = rng.standard_normal(len(idx))
+        p = random_spd(len(idx), rng)
+        gaussians.append(Factor.gaussian(f"g{k}", idx, m, p))
+        prec_post[np.ix_(idx, idx)] += p
+        shift[idx] += p @ m
+    mean_post = np.linalg.solve(prec_post, shift)
+    q0 = MeanPrecision.from_dense(rng.standard_normal(n), np.diag(rng.uniform(0.5, 2.0, n)))
+    cfg = NgdConfig(max_iters=1, rule=ExpectationRule("gauss_hermite", 5))
+    q1, _ = optimize_factored(FactorGraph(n, tuple(gaussians)), q0, cfg)
+    return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
+
+
 def one_step_exactness() -> list[CheckResult]:
     """Criterion 6: one hybrid step from any start lands on the exact
-    posterior of a linear-Gaussian problem."""
+    posterior of a linear-Gaussian problem, dense or factored."""
     rng = np.random.default_rng(106)
     summed = max(_one_step_residual(rng, int(rng.integers(1, 5)), 3) for _ in range(10))
     single = _one_step_residual(rng, 3, 1)
+    factored = max(_factored_one_step_residual(rng, int(rng.integers(3, 9))) for _ in range(10))
     return [
         CheckResult("ngd/one_step/summed_quadratic", summed, 1e-10),
         CheckResult("ngd/one_step/quadratic", single, 1e-10),
+        CheckResult("ngd/one_step/factored_quadratic", factored, 1e-10),
     ]
 
 

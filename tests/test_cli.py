@@ -16,7 +16,11 @@ from ngvi.cli import (
     load_problem,
     main,
     parse_estimate,
+    parse_problem,
+    write_estimate,
 )
+from ngvi.gaussian import MeanPrecision
+from ngvi.kronmat import SymmetricMatrix
 
 
 def file_hash(path):
@@ -120,6 +124,26 @@ def test_estimate_round_trip_converges_without_stepping(tmp_path):
     q2 = parse_estimate(str(out2 / "estimate.txt"))
     assert np.array_equal(q2.mean, q.mean)
     assert np.array_equal(q2.prec.half, q.prec.half)
+
+
+def test_estimate_text_is_the_per_value_format(tmp_path):
+    # signed zeros, subnormals, the extremes of the exponent range and
+    # values that need all 17 digits, against format(float(x), ".17g")
+    mean = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1e300, 1e22, 1 / 3, 0.1, -123456789.12345679, 3 * 2.0**-1074])
+    prec = np.diag([1e300, 5e-324, 4e-320, 2.0, 1e-300, 3.0, 1 / 7, 1e22, 0.1, 1.5, 2.5e-310, 7.0])
+    prec[1, 0] = prec[0, 1] = -0.0
+    q = MeanPrecision(mean, SymmetricMatrix.from_full(prec))
+    path = tmp_path / "estimate.txt"
+    write_estimate(str(path), q)
+    expected = [
+        "# ngvi-estimate/1",
+        "# dimension 12",
+        "mean " + " ".join(format(float(x), ".17g") for x in q.mean),
+        "prec_vech " + " ".join(format(float(x), ".17g") for x in q.prec.half),
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert "-0 0 4.9406564584124654e-324" in expected[2] and " -0 " in expected[3]
 
 
 def _bundled_path(name):
@@ -369,6 +393,13 @@ def _set(path, value):
         pytest.param(_set(["rule"], {"kind": "monte_carlo", "order": 64, "seed": -3}), "'rule'", id="negative-mc-seed"),
         pytest.param(_set(["rule", "points"], 9), "'rule.points'", id="unknown-rule-key"),
         pytest.param(_set(["config", "tolerance"], 3), "'config.tolerance'", id="unknown-config-key"),
+        pytest.param(_set(["confg"], {"max_iters": 2}), "'confg'", id="unknown-root-key"),
+        pytest.param(_set(["init", "extra"], 1), "'init.extra'", id="unknown-init-key"),
+        pytest.param(_set(["factors", 1, "colour"], "red"), "'factors[1].colour'", id="unknown-factor-key"),
+        pytest.param(_set(["factors", 1, "phi", "stray"], 0), "'factors[1].phi.stray'", id="unknown-phi-key"),
+        pytest.param(
+            _set(["factors", 1, "phi", "landmark"], [0.0, 0.0]), "'factors[1].phi.landmark'", id="landmark-on-quadratic"
+        ),
         pytest.param(_set(["init", "mean", 0], NAN), "'init.mean'", id="nan-init-mean"),
         pytest.param(_set(["init", "matrix_vech", 0], "1.5"), "'init.matrix_vech'", id="string-init-vech"),
         pytest.param(_set(["config", "rel_tol"], "1e-9"), "'config.rel_tol'", id="string-rel-tol"),
@@ -384,6 +415,23 @@ def test_malformed_structure_exits_one_naming_field(tmp_path, capsys, edit, fiel
     err = capsys.readouterr().err
     assert err.startswith("error: "), err
     assert f"field {field}" in err, err
+
+
+def test_phi_fields_are_per_kind():
+    # a fixed-landmark range factor may carry the 'landmark' that a
+    # Gaussian factor may not (see landmark-on-quadratic above)
+    raw = {
+        "schema": "ngvi-problem/1",
+        "dimension": 2,
+        "init": {"form": "mean_precision", "mean": [0.0, 0.0], "matrix_vech": [1.0, 0.0, 1.0]},
+        "factors": [
+            {"id": "prior", "indices": [0, 1], "phi": {"kind": "gaussian_quadratic", "m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}},
+            {"id": "range", "indices": [0, 1],
+             "phi": {"kind": "nonlinear_range", "distance": 1.0, "variance": 0.1, "landmark": [2.0, 0.0]}},
+        ],
+    }
+    spec = parse_problem(raw)
+    assert [f.quadratic is not None for f in spec.graph.factors] == [True, False]
 
 
 def test_directory_problem_path_exits_one(tmp_path, capsys):

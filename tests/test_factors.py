@@ -20,7 +20,7 @@ from ngvi.factors import (
     sparsity_pattern,
     total_phi,
 )
-from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
+from ngvi.gaussian import MeanCovariance, MeanPrecision, NotPositiveDefiniteError, convert
 from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
 from ngvi.ngd import NgdConfig, _predicted_decrease, optimize
 from ngvi.quadrature import (
@@ -63,6 +63,24 @@ def test_factor_validation():
         Factor("repeat", (1, 1), pointwise(lambda u: 0.0))
     with pytest.raises(ValueError):
         Factor("negative", (-1,), pointwise(lambda u: 0.0))
+
+
+def test_gaussian_factor_records_its_quadratic():
+    f = Factor.gaussian("g", [2, 0], [1.0, -1.0], [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+    m, p = f.quadratic
+    assert f.indices == (2, 0) and np.array_equal(m, [1.0, -1.0]) and p[1, 0] == 0.5 + 1e-15
+    assert not p.flags.writeable and not m.flags.writeable
+    u = np.array([[0.5, 2.0], [-1.0, 0.0]])
+    expected = [0.5 * (x - m) @ p @ (x - m) for x in u]
+    assert np.allclose(f.local_phi(u), expected, rtol=1e-15, atol=0.0)
+    # the assembly stacks the symmetric part, which keeps its Hessian exactly symmetric
+    stacked = FactorGraph(3, (f,))._closed.gaussians[0].p[0]
+    assert np.array_equal(stacked, stacked.T) and stacked[1, 0] == 0.5 * (0.5 + (0.5 + 1e-15))
+    assert Factor("plain", (0,), f.local_phi).quadratic is None
+    with pytest.raises(ValueError, match="factor 'g'"):
+        Factor.gaussian("g", (0, 1), [0.0], np.eye(2))
+    with pytest.raises(ValueError, match="factor 'g'"):
+        Factor.gaussian("g", (0,), [0.0], np.eye(2))
 
 
 def test_graph_rejects_out_of_range_index():
@@ -168,9 +186,16 @@ def test_pattern_mask_matches_the_pair_set(dim, seed):
         arity = int(rng.integers(1, dim + 1))
         return tuple(int(i) for i in rng.choice(dim, arity, replace=False))
 
-    zero = pointwise(lambda u: 0.0)
+    def factor(k):
+        # every other factor is a Gaussian one, whose block the closed-form
+        # assembly stacks apart from the swept ones
+        indices = random_indices()
+        if k % 2:
+            return Factor.gaussian(f"f{k}", indices, np.zeros(len(indices)), np.eye(len(indices)))
+        return Factor(f"f{k}", indices, pointwise(lambda u: 0.0))
+
     count = int(rng.integers(1, 6))
-    graph = FactorGraph(dim, tuple(Factor(f"f{k}", random_indices(), zero) for k in range(count)))
+    graph = FactorGraph(dim, tuple(factor(k) for k in range(count)))
     pattern = reference_sparsity_pattern(graph)
     assert sparsity_pattern(graph) == pattern
     half = rng.standard_normal(half_len(dim))
@@ -283,6 +308,110 @@ def test_assembly_builds_no_per_factor_marginal(monkeypatch):
     assert np.all(np.isfinite(bundle.hess_mu.half))
 
 
+def untagged(graph):
+    """The same graph with every factor built from its ``local_phi`` alone."""
+    return FactorGraph(graph.dim, tuple(Factor(f.id, f.indices, f.local_phi) for f in graph.factors))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_gaussians_match_their_sweep(data):
+    dim = data.draw(st.integers(1, 7), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    factor_list = []
+    for k in range(data.draw(st.integers(1, 30), label="factors")):
+        arity = int(rng.integers(1, min(4, dim) + 1))
+        kind = KINDS_BY_ARITY[arity][int(rng.integers(len(KINDS_BY_ARITY[arity])))]
+        indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        params = random_phi_params(kind, arity, rng)
+        if kind == "gaussian_quadratic":
+            factor_list.append(Factor.gaussian(f"f{k}", indices, params["m"], params["P"]))
+        else:
+            factor_list.append(Factor(f"f{k}", indices, build_phi(kind, params, arity, f"f{k}")))
+    graph = FactorGraph(dim, tuple(factor_list))
+    q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
+    rules = [RULE5, ExpectationRule("gauss_hermite", 3), ExpectationRule("gauss_hermite", 2),
+             ExpectationRule("monte_carlo", 64, seed=3)]
+    for rule in rules:
+        value, bundle = factors._assemble(graph, q, rule)
+        ref_value, ref = factors._assemble(untagged(graph), q, rule)
+        assert np.array_equal(bundle.hess, bundle.hess.T)
+        if rule.exact_degree < factors.QUADRATIC_DEGREE:
+            assert value == ref_value
+            assert np.array_equal(bundle.grad_mu, ref.grad_mu)
+            assert np.array_equal(bundle.hess, ref.hess)
+            continue
+
+        def close(found, expected):
+            return np.max(np.abs(found - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert close(bundle.grad_mu, ref.grad_mu)
+        assert close(bundle.hess, ref.hess)
+
+
+@pytest.mark.parametrize(
+    "rule, calls",
+    [(RULE5, 0), (ExpectationRule("gauss_hermite", 3), 0), (ExpectationRule("gauss_hermite", 2), 1),
+     (ExpectationRule("monte_carlo", 64, seed=3), 1)],
+    ids=["gh5", "gh3", "gh2", "monte-carlo"],
+)
+def test_gaussian_local_phi_runs_only_under_an_inexact_rule(rule, calls):
+    graph = load_problem("range_slam_toy").graph
+    counts = {}
+
+    def counted(fid, phi):
+        def wrapped(u):
+            counts[fid] = counts.get(fid, 0) + 1
+            return phi(u)
+
+        return wrapped
+
+    for f in graph.factors:
+        object.__setattr__(f, "local_phi", counted(f.id, f.local_phi))
+    factors._assemble(graph, load_problem("range_slam_toy").init, rule)
+    tagged = [f.id for f in graph.factors if f.quadratic is not None]
+    assert tagged and all(counts.get(fid, 0) == calls for fid in tagged)
+    assert all(counts[f.id] == 1 for f in graph.factors if f.quadratic is None)
+
+
+def test_all_gaussian_graph_sweeps_nothing():
+    spec = load_problem("linear_chain")
+    assert all(f.quadratic is not None for f in spec.graph.factors)
+    assert spec.graph._closed.groups == ()
+    value, bundle = factors._assemble(spec.graph, spec.init, RULE5)
+    ref_value, ref = factors._assemble(untagged(spec.graph), spec.init, RULE5)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(bundle.hess - ref.hess)) <= 1e-12 * np.max(np.abs(ref.hess))
+    q, trace = optimize_factored(spec.graph, spec.init, spec.config)
+    assert trace.converged and len(trace.records) == 2
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["gaussians-only", "block-also-swept"])
+def test_indefinite_gaussian_marginal_is_named(swept):
+    # the precision of test_cli's near-singular problem: its inverse rounds
+    # the variance of x1 negative
+    a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
+    factor_list = [Factor.gaussian("x1", (1,), [0.0], [[1.0]]), Factor.gaussian("pair", (0, 1), [0.0, 0.0], np.eye(2))]
+    if swept:
+        factor_list.append(Factor("obs", (1,), build_phi("polynomial", {"coefficients": [0.0, 1.0]}, 1, "obs")))
+    graph = FactorGraph(2, tuple(factor_list))
+    q = MeanPrecision(np.zeros(2), SymmetricMatrix(2, np.array([a, b, c])))
+    with pytest.raises(NotPositiveDefiniteError, match="factor 'x1'"):
+        factors._assemble(graph, q, RULE5)
+
+
+def test_overflowing_gaussian_factor_fails_as_its_sweep():
+    graph = FactorGraph(2, (Factor.gaussian("far", (1,), [0.0], [[1.0]]), Factor.gaussian("near", (0,), [0.0], [[1.0]])))
+    q = MeanPrecision.from_dense([0.0, 1e200], np.eye(2))
+    messages = []
+    for g in (graph, untagged(graph)):
+        with pytest.raises(EvaluationError) as excinfo:
+            factors._assemble(g, q, RULE5)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] and "inf" in messages[0]
+
+
 def random_factor(fid, indices, rng):
     arity = len(indices)
     kind = KINDS_BY_ARITY[arity][int(rng.integers(len(KINDS_BY_ARITY[arity])))]
@@ -307,7 +436,7 @@ def test_blockwise_assembly_matches_per_factor_marginals(data):
     repeats = data.draw(st.integers(1, 60), label="repeats")
     indices = [tuples[int(k)] for k in rng.integers(len(tuples), size=repeats * len(tuples))]
     graph = FactorGraph(dim, tuple(random_factor(f"f{k}", idx, rng) for k, idx in enumerate(indices)))
-    assert sum(len(group.blocks) for group in graph._groups) == len(set(indices))
+    assert sum(len(group.blocks) for group in graph._swept.groups) == len(set(indices))
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
     value, bundle = factors._assemble(graph, q, rule)
     ref_value, ref_grad, ref_hess, ref_grad_prec = reference_assemble(graph, q, rule)
