@@ -91,9 +91,7 @@ def _object(value, where: str) -> dict:
 
 def _refuse_unknown(fields: dict, where: str, known) -> None:
     """Refuse the first key of the JSON object at ``where`` (the root if
-    empty) that is not in ``known``, with its field named. Callers on a
-    per-factor path test ``fields.keys() <= known`` first, which is cheaper
-    than building ``where``."""
+    empty) that is not in ``known``, with its field named."""
     for key in fields:
         if key not in known:
             path = f"{where}.{key}" if where else key
@@ -161,40 +159,21 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
     same checked (m, P), which gives them this integrand and also the
     closed form the assembly takes in its place.
     """
-    try:
-        return _phi(kind, params, n_indices)
-    except ProblemError as exc:
-        raise ProblemError(f"factor {factor_id!r}: {exc}") from None
+    owner = f"factor {factor_id!r}: "
 
+    def field(key: str) -> str:
+        return f"{owner}field {key!r}"
 
-def _quadratic_params(params: dict, n_indices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, P) of a ``gaussian_quadratic`` factor, checked."""
-    m = _numbers(params.get("m"), "field 'm'").reshape(-1)
-    p = _numbers(params.get("P"), "field 'P'")
-    if m.shape[0] != n_indices:
-        raise ProblemError(f"field 'm' must have one entry per index ({n_indices})")
-    if p.shape != (n_indices, n_indices):
-        raise ProblemError(f"field 'P' must be a {n_indices}x{n_indices} matrix")
-    try:
-        check_symmetric(p)
-    except AsymmetricMatrixError as exc:
-        raise ProblemError(f"field 'P': {exc}") from None
-    return m, p
-
-
-def _phi(kind: str, params: dict, n_indices: int):
-    """``build_phi`` with errors that name the field alone: the caller adds
-    the factor, so no message is built for a valid factor."""
     if kind == "gaussian_quadratic":
-        return _quadratic_phi(*_quadratic_params(params, n_indices))
+        return _quadratic_phi(*_quadratic_params(params, n_indices, factor_id))
     if kind == "logistic_bernoulli":
-        a = _numbers(params.get("feature"), "field 'feature'").reshape(-1)
-        label = _number(params.get("label"), "field 'label'")
+        a = _numbers(params.get("feature"), field("feature")).reshape(-1)
+        label = _number(params.get("label"), field("label"))
         if label not in (0.0, 1.0):
-            raise ProblemError(f"field 'label' must be 0 or 1, found {params['label']!r}")
+            raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
         y = int(label)
         if a.shape[0] != n_indices:
-            raise ProblemError(f"field 'feature' must have one entry per index ({n_indices})")
+            raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
 
         def phi(u: np.ndarray) -> np.ndarray:
             t = u @ a
@@ -202,18 +181,18 @@ def _phi(kind: str, params: dict, n_indices: int):
 
         return phi
     if kind == "nonlinear_range":
-        distance = _number(params.get("distance"), "field 'distance'")
-        variance = _number(params.get("variance"), "field 'variance'")
+        distance = _number(params.get("distance"), field("distance"))
+        variance = _number(params.get("variance"), field("variance"))
         if not 0.0 <= distance < math.inf:
-            raise ProblemError(f"field 'distance' must be finite and nonnegative, found {distance!r}")
+            raise ProblemError(f"{field('distance')} must be finite and nonnegative, found {distance!r}")
         if not 0.0 < variance < math.inf:
-            raise ProblemError(f"field 'variance' must be finite and positive, found {variance!r}")
+            raise ProblemError(f"{field('variance')} must be finite and positive, found {variance!r}")
         if params.get("landmark") is not None:
-            point = _numbers(params["landmark"], "field 'landmark'").reshape(-1)
+            point = _numbers(params["landmark"], field("landmark")).reshape(-1)
             if point.shape[0] != 2 or n_indices != 2:
                 raise ProblemError(
-                    "field 'landmark': fixed-landmark range factors take "
-                    "2 indices and a 2-vector landmark"
+                    f"{field('landmark')}: fixed-landmark range factors take "
+                    f"2 indices and a 2-vector landmark"
                 )
 
             def phi(u: np.ndarray) -> np.ndarray:
@@ -223,8 +202,8 @@ def _phi(kind: str, params: dict, n_indices: int):
             return phi
         if n_indices != 4:
             raise ProblemError(
-                "field 'landmark' is missing: range factors take 2 indices "
-                "and a landmark, or 4 indices (position pair, landmark pair)"
+                f"{field('landmark')} is missing: range factors take 2 indices "
+                f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
 
         def phi(u: np.ndarray) -> np.ndarray:
@@ -233,11 +212,11 @@ def _phi(kind: str, params: dict, n_indices: int):
 
         return phi
     if kind == "polynomial":
-        coeffs = _numbers(params.get("coefficients"), "field 'coefficients'").reshape(-1)
+        coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
         if coeffs.shape[0] == 0:
-            raise ProblemError("field 'coefficients' must hold at least one coefficient")
+            raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
         if n_indices != 1:
-            raise ProblemError("polynomial factors take 1 index")
+            raise ProblemError(f"{owner}polynomial factors take 1 index")
 
         def phi(u: np.ndarray) -> np.ndarray:
             # Horner's rule as np.polynomial.polynomial.polyval does it,
@@ -249,7 +228,26 @@ def _phi(kind: str, params: dict, n_indices: int):
             return value
 
         return phi
-    raise ProblemError(f"field 'kind': unknown phi kind {kind!r}")
+    raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
+
+
+def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (m, P) of a ``gaussian_quadratic`` factor."""
+
+    def field(key: str) -> str:
+        return f"factor {factor_id!r}: field {key!r}"
+
+    m = _numbers(params.get("m"), field("m")).reshape(-1)
+    p = _numbers(params.get("P"), field("P"))
+    if m.shape[0] != n_indices:
+        raise ProblemError(f"{field('m')} must have one entry per index ({n_indices})")
+    if p.shape != (n_indices, n_indices):
+        raise ProblemError(f"{field('P')} must be a {n_indices}x{n_indices} matrix")
+    try:
+        check_symmetric(p)
+    except AsymmetricMatrixError as exc:
+        raise ProblemError(f"{field('P')}: {exc}") from None
+    return m, p
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +299,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
-        if not entry.keys() <= FACTOR_FIELDS:
-            _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
+        _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
         factor_id = entry.get("id")
         if not factor_id:
             raise ProblemError("every factor needs a nonempty 'id'")
@@ -315,18 +312,16 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         if not isinstance(phi_raw, dict):
             raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
         kind = phi_raw.get("kind")
-        known = PHI_FIELDS.get(kind) if isinstance(kind, str) else None
-        if known is not None and not phi_raw.keys() <= known:
-            _refuse_unknown(phi_raw, f"factors[{position}].phi", known)
+        if isinstance(kind, str) and kind in PHI_FIELDS:
+            _refuse_unknown(phi_raw, f"factors[{position}].phi", PHI_FIELDS[kind])
         try:
             if kind == "gaussian_quadratic":
-                m, p = _quadratic_params(phi_raw, len(indices))
+                m, p = _quadratic_params(phi_raw, len(indices), factor_id)
                 factors.append(Factor.gaussian(factor_id, indices, m, p))
             else:
-                factors.append(Factor(factor_id, tuple(indices), _phi(kind, phi_raw, len(indices))))
-        except ProblemError as exc:
-            raise ProblemError(f"factor {factor_id!r}: {exc}") from None
-        except ValueError as exc:  # from Factor, which names the factor
+                phi = build_phi(kind, phi_raw, len(indices), factor_id)
+                factors.append(Factor(factor_id, tuple(indices), phi))
+        except ValueError as exc:  # a ProblemError, or from Factor, which names the factor
             raise ProblemError(str(exc)) from None
     if not factors:
         raise ProblemError("field 'factors': at least one factor is required")

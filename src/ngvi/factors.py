@@ -29,12 +29,12 @@ every block into the global gradient and Hessian.
 A Gaussian factor, built by ``Factor.gaussian`` as 0.5 (u - m)^T P (u - m),
 has these expectations in closed form: the value 0.5 r^T P r +
 0.5 tr(P Sigma_k) for r = mu_k - m, the gradient P r and the constant
-Hessian P. A rule exact to ``QUADRATIC_DEGREE`` (Gauss-Hermite of order 3
-or more) would sweep them to the same numbers up to rounding, so under
-such a rule the graph's Gaussian factors are stacked per arity once and
-integrated in closed form, and their ``local_phi`` is not called. Under
-Monte Carlo or Gauss-Hermite of order 1 or 2 they are swept like any other
-factor.
+Hessian P. These are the exact expectations, so under every rule the
+graph's Gaussian factors are stacked per arity once and integrated in
+closed form, and their ``local_phi`` is not called. A rule exact to degree
+4 in z (Gauss-Hermite of order 3 or more) would sweep them to the same
+numbers up to rounding; a lower order or Monte Carlo would only
+approximate them.
 
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
@@ -88,12 +88,6 @@ __all__ = [
 # It bounds the stacked node arrays, so memory does not grow with the
 # graph; chunks of 4096 to 16384 points sweep equally fast.
 CHUNK_POINTS = 8192
-
-# The degree in z of the Stein Hessian integrand (z z^T - I) f of a quadratic
-# f, the highest of its three moments. A rule exact to this degree integrates
-# a Gaussian factor exactly, so its closed form differs from the sweep only
-# by rounding; under any other rule Gaussian factors are swept.
-QUADRATIC_DEGREE = 4
 
 
 class SparsityError(RuntimeError):
@@ -174,16 +168,10 @@ class FactorGraph:
         object.__setattr__(self, "factors", factors)
 
     @cached_property
-    def _swept(self) -> "_Plan":
-        """The assembly plan that sweeps every factor. Plans are built once
-        per graph, on first use."""
-        groups = _arity_groups(self.factors)
-        return _Plan(groups, (), _scatter_index(self.dim, groups, ()))
-
-    @cached_property
-    def _closed(self) -> "_Plan":
-        """The assembly plan that sweeps the untagged factors and takes
-        the Gaussian ones in closed form, stacked per arity in graph order."""
+    def _plan(self) -> "_Plan":
+        """The assembly plan, built once per graph on first use: the
+        factors without a recorded quadratic grouped for the sweep, and the
+        Gaussian ones stacked per arity in graph order for the closed form."""
         tagged: dict[int, list[Factor]] = {}
         untagged = []
         for f in self.factors:
@@ -191,8 +179,6 @@ class FactorGraph:
                 untagged.append(f)
             else:
                 tagged.setdefault(len(f.indices), []).append(f)
-        if not tagged:
-            return self._swept
         groups = _arity_groups(untagged)
         stacks = []
         for fs in tagged.values():
@@ -271,14 +257,13 @@ def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
 
 
 def _pattern_mask(graph: FactorGraph) -> np.ndarray:
-    """The pattern as a mask over the half vector, from the blocks of an
-    assembly plan: either plan covers every factor, and this is the one the
-    default rules assemble with."""
+    """The pattern as a mask over the half vector, from the blocks of the
+    assembly plan, swept and closed-form alike."""
     n = graph.dim
     allowed = np.zeros(half_len(n), dtype=bool)
     diagonal = np.arange(n)
     allowed[_vech_position(diagonal, diagonal, n)] = True
-    plan = graph._closed
+    plan = graph._plan
     for part in (*plan.groups, *plan.gaussians):
         r, c = np.broadcast_arrays(part.blocks[:, :, None], part.blocks[:, None, :])
         lower = r >= c
@@ -335,15 +320,15 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     block is sliced, factored and inverted once, each chunk of factors is
     swept by one ``expect_weighted`` call, and the moments are summed per
     block before the one map to derivatives (they are linear in phi).
-    Under a rule exact to ``QUADRATIC_DEGREE``, the Gaussian factors are
-    not swept: each adds 0.5 r^T P r + 0.5 tr(P Sigma_k) to the value, P r
-    to the gradient and its constant P to the Hessian, for r = mu_k - m.
-    Every block's derivatives then go into one scatter. The bundle carries
+    The Gaussian factors are not swept: each adds 0.5 r^T P r +
+    0.5 tr(P Sigma_k) to the value, P r to the gradient and its constant P
+    to the Hessian, for r = mu_k - m. Every block's derivatives then go
+    into one scatter. The bundle carries
     the covariance the marginals were sliced from.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
-    plan = graph._closed if rule.exact_degree >= QUADRATIC_DEGREE else graph._swept
+    plan = graph._plan
     try:
         sigma = q.covariance
     except np.linalg.LinAlgError:

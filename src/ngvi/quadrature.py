@@ -23,10 +23,9 @@ K come from one GEMM (``gaussian._affine``). With w the weighted values
 E[z z^T f] = w @ zz, and the x-space moments it returns are L E[z f]
 and L E[z z^T f] L^T.
 
-``ExpectationRule.exact_degree`` is the highest polynomial degree in z a
-rule integrates exactly: 2 order - 1 for the tensor grid, 0 for Monte
-Carlo. ``ngvi.factors`` reads it to decide when a Gaussian factor's closed
-form equals its sweep.
+A factor built by ``factors.Factor.gaussian`` is never swept here: its
+expectations have a closed form, which ``ngvi.factors`` takes under every
+rule.
 """
 
 from __future__ import annotations
@@ -91,13 +90,6 @@ class ExpectationRule:
             raise ValueError("monte_carlo sample count must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, found {self.seed!r}")
-
-    @property
-    def exact_degree(self) -> int:
-        """The highest polynomial degree in the whitened variable z whose
-        expectation the rule gives exactly: 2 order - 1 for the Gauss-Hermite
-        tensor grid, 0 (constants only) for Monte Carlo draws."""
-        return 2 * self.order - 1 if self.kind == "gauss_hermite" else 0
 
 
 def default_rule(dim: int) -> ExpectationRule:

@@ -80,20 +80,6 @@ def test_polynomial_exactness_2d_cross_moment():
     assert np.isclose(found, mu[0] * mu[1] + sigma[0, 1], rtol=1e-13)
 
 
-def test_exact_degree_is_the_highest_degree_integrated():
-    # E[z^j] of N(0, 1) is (j - 1)!! for even j and 0 for odd j; order k
-    # gets every degree up to 2k - 1 and misses 2k
-    for order in range(1, 9):
-        z, weights = _gh_grid(order, 1)
-        degree = ExpectationRule("gauss_hermite", order).exact_degree
-        for j in range(degree + 2):
-            exact = float(np.prod(np.arange(j - 1, 0, -2))) if j % 2 == 0 else 0.0
-            found = float(weights @ z[:, 0] ** j)
-            scale = float(weights @ np.abs(z[:, 0]) ** j)
-            assert (abs(found - exact) <= 1e-12 * scale) == (j <= degree), (order, j)
-    assert ExpectationRule("monte_carlo", 10_000).exact_degree == 0
-
-
 def test_weights_are_normalized_at_every_order():
     g = MeanCovariance.from_dense([0.0], [[1.0]])
     for order in range(1, 21):
