@@ -7,7 +7,7 @@ from .kronmat import SymmetricMatrix, duplication, kron, mat, matf, sym, vec, ve
 from .ngd import NgdConfig, optimize, step_hybrid
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted, pointwise
 from .verify import fd_check, step_canonical, step_generic
-from .vloss import DerivativeBundle, LossFunctional, derivatives, value
+from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives
 
 __all__ = [
     "Factor",
@@ -44,9 +44,9 @@ __all__ = [
     "pointwise",
     "DerivativeBundle",
     "LossFunctional",
-    "derivatives",
     "fd_check",
     "value",
+    "value_and_derivatives",
 ]
 
 __version__ = "0.1.0"

@@ -301,8 +301,10 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
             raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
         _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
         factor_id = entry.get("id")
-        if not factor_id:
-            raise ProblemError("every factor needs a nonempty 'id'")
+        if type(factor_id) is not str or not factor_id:
+            raise ProblemError(
+                f"field 'factors[{position}].id' must be a nonempty string, found {factor_id!r}"
+            )
         indices = entry.get("indices", [])
         if type(indices) is not list or not set(map(type, indices)) <= {int}:
             raise ProblemError(
@@ -321,14 +323,16 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
             else:
                 phi = build_phi(kind, phi_raw, len(indices), factor_id)
                 factors.append(Factor(factor_id, tuple(indices), phi))
-        except ValueError as exc:  # a ProblemError, or from Factor, which names the factor
-            raise ProblemError(str(exc)) from None
+        except ProblemError:
+            raise
+        except ValueError as exc:  # from Factor's index checks, which name the factor
+            raise ProblemError(f"field 'indices': {exc}") from None
     if not factors:
         raise ProblemError("field 'factors': at least one factor is required")
     try:
         graph = FactorGraph(dimension, tuple(factors))
-    except ValueError as exc:
-        raise ProblemError(str(exc)) from None
+    except ValueError as exc:  # an index beyond the dimension, with the factor named
+        raise ProblemError(f"field 'indices': {exc}") from None
 
     rule_raw = _known_fields(raw.get("rule", {}), "rule", {"kind": "gauss_hermite", "order": 5, "seed": 0})
     order = _integer(rule_raw["order"], "field 'rule.order'")

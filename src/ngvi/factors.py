@@ -22,9 +22,10 @@ and then sweeps the factors in chunks of at most ``CHUNK_POINTS`` points,
 one ``expect_weighted`` call per chunk that calls each factor's
 ``local_phi`` once. The derivatives are linear in phi, so the moments
 are summed per block and mapped to derivatives once per block:
-prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian and
-prec E[(x - mu) phi] for the gradient. One scatter per iteration adds
-every block into the global gradient and Hessian.
+prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian, from the
+Stein moment the sweep returns centred, and prec E[(x - mu) phi] for the
+gradient. One scatter per iteration adds every block into the global
+gradient and Hessian.
 
 A Gaussian factor, built by ``Factor.gaussian`` as 0.5 (u - m)^T P (u - m),
 has these expectations in closed form: the value 0.5 r^T P r +
@@ -319,7 +320,8 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     ln|prec| comes from its cached factor. Per arity group, each distinct
     block is sliced, factored and inverted once, each chunk of factors is
     swept by one ``expect_weighted`` call, and the moments are summed per
-    block before the one map to derivatives (they are linear in phi).
+    block before the one map to derivatives (they are linear in phi). The
+    sweep centres each factor's matrix moment before that sum.
     The Gaussian factors are not swept: each adds 0.5 r^T P r +
     0.5 tr(P Sigma_k) to the value, P r to the gradient and its constant P
     to the Hessian, for r = mu_k - m. Every block's derivatives then go
@@ -343,10 +345,6 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
             count, dim = blocks.shape
             cov = sigma[blocks[:, :, None], blocks[:, None, :]]
             chol = np.linalg.cholesky(cov)
-            # L L^T rather than the sliced block: the centring below must use
-            # the factor the moments were formed with, or the rounding gap
-            # between the two adds up over every factor of a block
-            outer = chol @ np.swapaxes(chol, 1, 2)
             prec = np.linalg.inv(cov)
             prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
             mean = q.mean[blocks]
@@ -356,11 +354,7 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
                 at = block_of[start : start + per_chunk]
                 phis = [f.local_phi for f in group.factors[start : start + per_chunk]]
                 scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), phis)
-                # L E[(z z^T - I) f] L^T per factor: a factor's Hessian is a small
-                # difference of two large terms, and a block sum taken before
-                # that difference would lose its digits
-                centred = matrix - scalar[:, None, None] * outer[at]
-                moments.append(np.column_stack([scalar, vector, centred.reshape(len(at), -1)]))
+                moments.append(np.column_stack([scalar, vector, matrix.reshape(len(at), -1)]))
             width = 1 + dim + dim * dim
             slots = (block_of[:, None] * width + np.arange(width)).ravel()
             sums = np.bincount(slots, np.concatenate(moments).ravel(), count * width)
@@ -440,7 +434,8 @@ def as_loss(graph: FactorGraph) -> LossFunctional:
 def optimize_factored(
     graph: FactorGraph, q0: MeanPrecision, cfg: NgdConfig
 ) -> tuple[MeanPrecision, IterationTrace]:
-    """Hybrid iteration with per-iteration sparsity-pattern assertion.
+    """Hybrid iteration with per-iteration sparsity-pattern assertion: each
+    iterate, the start included, is checked before it is assembled.
 
     A graph with no factors is refused: its loss is the entropy term
     (1/2) ln|prec| alone, which is unbounded below and has no optimum.
@@ -457,16 +452,12 @@ def optimize_factored(
         raise DimensionError(f"initial dimension {q0.dim} != graph dimension {graph.dim}")
     pattern = _pattern_mask(graph)
 
-    def check_pattern(q: MeanPrecision) -> None:
+    def eval_fn(q):
         bad = pattern_violations(q.prec, pattern)
         if bad:
             raise SparsityError(
                 f"precision has nonzeros outside the factor pattern at {sorted(bad)}"
             )
-
-    check_pattern(q0)
-
-    def eval_fn(q):
         return _assemble(graph, q, rule)
 
-    return iterate_hybrid(eval_fn, q0, cfg, post_step=check_pattern)
+    return iterate_hybrid(eval_fn, q0, cfg)

@@ -270,7 +270,7 @@ def shrink_until_pd(estimate, step: float, what: str):
             h *= 0.5
 
 
-def fd_kl_hessian(g, tag: str, step: float = 1e-3, refine: bool = True) -> np.ndarray:
+def fd_kl_hessian(g, tag: str, step: float = 1e-3) -> np.ndarray:
     """Central-difference Hessian of KL(g || .) in the tagged coordinates.
 
     Richardson refinement combines estimates at ``step`` and ``step / 2``.
@@ -285,8 +285,6 @@ def fd_kl_hessian(g, tag: str, step: float = 1e-3, refine: bool = True) -> np.nd
 
     def estimate(h: float) -> np.ndarray:
         coarse = central_hessian(fn, x0, h)
-        if not refine:
-            return coarse
         fine = central_hessian(fn, x0, h / 2.0)
         return (4.0 * fine - coarse) / 3.0
 

@@ -61,14 +61,14 @@ def _vech_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise AsymmetricMatrixError unless max|A - A^T| <= rtol * max(1, max|A|)."""
+def check_symmetric(a: np.ndarray) -> None:
+    """Raise AsymmetricMatrixError unless max|A - A^T| <= SYMMETRY_RTOL * max(1, max|A|)."""
     scale = max(1.0, float(np.abs(a).max()))
     gap = float(np.abs(a - a.T).max())
-    if gap > rtol * scale:
+    if gap > SYMMETRY_RTOL * scale:
         raise AsymmetricMatrixError(
             f"matrix is asymmetric: max|A - A^T| = {gap:.3e} "
-            f"exceeds {rtol:.1e} * {scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
         )
 
 
@@ -102,12 +102,12 @@ class SymmetricMatrix:
         object.__setattr__(self, "half", half)
 
     @classmethod
-    def from_full(cls, a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> "SymmetricMatrix":
+    def from_full(cls, a: np.ndarray) -> "SymmetricMatrix":
         """Build from a dense matrix, which must be symmetric within tolerance."""
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        check_symmetric(a, rtol)
+        check_symmetric(a)
         r, c = _vech_indices(a.shape[0])
         return cls(a.shape[0], 0.5 * (a[r, c] + a[c, r]))
 

@@ -18,7 +18,6 @@ inverse-FIM steps that the paper's evidence compares against live in
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -77,8 +76,6 @@ class TraceRecord:
     iteration: int
     value: float
     grad_norm: float
-    mean: np.ndarray
-    prec_fingerprint: str
     accepted: bool
     predicted_decrease: float
 
@@ -90,10 +87,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def _fingerprint(half: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(half).tobytes()).hexdigest()[:16]
 
 
 def _hybrid_delta(d: DerivativeBundle, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +144,7 @@ def _predicted_decrease(d: DerivativeBundle) -> float:
     return float(-0.5 * d.grad_mu @ (d.cov @ d.grad_mu) - 0.25 * np.sum(resid * resid.T))
 
 
-def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPrecision, IterationTrace]:
+def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, IterationTrace]:
     """Drive the hybrid update with ``eval_fn(q) -> (value, bundle)``.
 
     Convergence requires both the relative mean change and the relative
@@ -180,8 +173,6 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
                 iteration=k,
                 value=value_k,
                 grad_norm=float(np.linalg.norm(bundle.grad_mu)),
-                mean=q.mean.copy(),
-                prec_fingerprint=_fingerprint(q.prec.half),
                 accepted=accepted,
                 predicted_decrease=_predicted_decrease(bundle),
             )
@@ -197,8 +188,6 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig, post_step=None) -> tuple[MeanPre
         if k == cfg.max_iters:
             break
         q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol)
-        if post_step is not None:
-            post_step(q)
         prev_value = value_k
     return q, trace
 

@@ -1,7 +1,9 @@
 """Expectation engine: Gauss-Hermite tensor grids and Monte Carlo.
 
-Computes E_q[f(x)] and the weighted moments E_q[(x - mu) f] and
-E_q[(x - mu)(x - mu)^T f] from one shared sweep of evaluation points.
+Computes E_q[f(x)], the weighted moment E_q[(x - mu) f] and the Stein
+moment E_q[((x - mu)(x - mu)^T - Sigma) f] from one shared sweep of
+evaluation points. The mean Hessian of E_q[phi] is Sigma^-1 times the
+Stein moment of phi times Sigma^-1, so no caller centres it again.
 
 Integrands are batched: ``f(X)`` takes the (P, d) array of a Gaussian's
 evaluation points and returns their P values as a (P,) array. A scalar
@@ -20,8 +22,9 @@ the nodes z (P, d), their weights and the pairwise products z_i z_j
 integrand each; a single Gaussian is its K = 1 case. The points of all
 K come from one GEMM (``gaussian._affine``). With w the weighted values
 (K, P), the whitened moments are two more GEMMs, E[z f] = w @ z and
-E[z z^T f] = w @ zz, and the x-space moments it returns are L E[z f]
-and L E[z z^T f] L^T.
+E[z z^T f] = w @ zz. The Stein moment is centred there, where the
+identity is exact: E[f] comes off the diagonal of E[z z^T f]. The
+x-space moments it returns are L E[z f] and L E[(z z^T - I) f] L^T.
 
 A factor built by ``factors.Factor.gaussian`` is never swept here: its
 expectations have a closed form, which ``ngvi.factors`` takes under every
@@ -195,7 +198,7 @@ def expect_scalar(rule: ExpectationRule, g, f) -> float:
 
 
 def expect_weighted(rule: ExpectationRule, g, f):
-    """(E[f], E[(x - mu) f], E[(x - mu)(x - mu)^T f]) from one shared sweep.
+    """(E[f], E[(x - mu) f], E[((x - mu)(x - mu)^T - Sigma) f]) from one shared sweep.
 
     ``g`` is a Gaussian in any form or a pair (mean, lower Cholesky factor
     of the covariance), and ``f`` one batched integrand; the result is
@@ -203,8 +206,8 @@ def expect_weighted(rule: ExpectationRule, g, f):
     (K, d) and factors (K, d, d) and a sequence of K integrands, one per
     Gaussian, and returns the three moments stacked: (K,), (K, d),
     (K, d, d). This is how the factored assembly sweeps a group of factor
-    marginals at once without building any of them. The matrix moment is
-    symmetrized on output.
+    marginals at once without building any of them. The matrix moment,
+    L E[(z z^T - I) f] L^T, is symmetrized on output.
     """
     if callable(f):
         mu, chol = _mean_and_chol(g)
@@ -217,6 +220,8 @@ def expect_weighted(rule: ExpectationRule, g, f):
     scalar = values @ weights
     weighted = values * weights
     vector = np.einsum("kij,kj->ki", chols, weighted @ z)
-    matrix = chols @ (weighted @ zz).reshape(count, dim, dim) @ np.swapaxes(chols, 1, 2)
+    whitened = (weighted @ zz).reshape(count, dim, dim)
+    whitened[:, np.arange(dim), np.arange(dim)] -= scalar[:, None]
+    matrix = chols @ whitened @ np.swapaxes(chols, 1, 2)
     matrix = 0.5 * (matrix + np.swapaxes(matrix, 1, 2))
     return scalar, vector, matrix

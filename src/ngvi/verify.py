@@ -33,7 +33,7 @@ from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_o
 from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec
 from .ngd import NgdConfig, step_hybrid
 from .quadrature import ExpectationRule, expect_weighted, pointwise
-from .vloss import DerivativeBundle, LossFunctional, derivatives, value
+from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives
 
 __all__ = [
     "CheckResult",
@@ -161,7 +161,7 @@ def fd_check(loss: LossFunctional, q, rule: ExpectationRule, step: float = 1e-5)
     n = q.dim
     mu = mean_of(q)
     prec = prec_of(q)
-    bundle = derivatives(loss, q, rule)
+    _, bundle = value_and_derivatives(loss, q, rule)
 
     def val(mu2: np.ndarray, prec2: np.ndarray) -> float:
         return value(loss, MeanPrecision.from_dense(mu2, prec2), rule)
@@ -300,21 +300,21 @@ def symmetry_equivalence() -> list[CheckResult]:
 def direct_grad_prec(loss: LossFunctional, q, rule: ExpectationRule) -> np.ndarray:
     """The precision derivative from its own moment formula,
 
-        -(1/2) E[(x - mu)(x - mu)^T phi] + (1/2) cov E[phi] + (1/2) cov,
+        -(1/2) E[((x - mu)(x - mu)^T - cov) phi] + (1/2) cov,
 
-    which never reads the mean Hessian: the side of criterion 5 that the
-    bundle's relation-derived ``grad_prec`` is compared against."""
-    scalar, _, matrix = expect_weighted(rule, q, loss.phi)
-    cov = cov_of(q)
-    grad_prec = -0.5 * matrix + 0.5 * cov * scalar + 0.5 * cov
-    return 0.5 * (grad_prec + grad_prec.T)
+    with the Stein moment as the sweep returns it, which never reads the
+    mean Hessian: the side of criterion 5 that the bundle's
+    relation-derived ``grad_prec`` is compared against."""
+    _, _, matrix = expect_weighted(rule, q, loss.phi)
+    return -0.5 * matrix + 0.5 * cov_of(q)
 
 
 def _relation_residual(phi, g, order: int) -> float:
     """max |direct grad_prec - (cov/2 - cov hess_mu cov/2)| under order-``order`` GH."""
     loss = LossFunctional(g.dim, pointwise(phi))
     rule = ExpectationRule("gauss_hermite", order)
-    return _resid(direct_grad_prec(loss, g, rule), derivatives(loss, g, rule).grad_prec.full())
+    _, bundle = value_and_derivatives(loss, g, rule)
+    return _resid(direct_grad_prec(loss, g, rule), bundle.grad_prec.full())
 
 
 def derivative_relation() -> list[CheckResult]:
@@ -374,7 +374,8 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
         return sum(q(x) for q in quadratics)
 
     q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    bundle = derivatives(LossFunctional(n, pointwise(phi)), q0, ExpectationRule("gauss_hermite", 5))
+    loss = LossFunctional(n, pointwise(phi))
+    _, bundle = value_and_derivatives(loss, q0, ExpectationRule("gauss_hermite", 5))
     q1 = step_hybrid(q0, bundle)
     return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
 

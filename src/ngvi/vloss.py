@@ -8,9 +8,10 @@ of one point enters through ``quadrature.pointwise``. The two mean
 derivatives
 
     grad_mu = prec @ E[(x - mu) phi]
-    hess_mu = prec @ E[(x - mu)(x - mu)^T phi] @ prec - prec * E[phi]
+    hess_mu = prec @ E[((x - mu)(x - mu)^T - cov) phi] @ prec
 
-come from a single weighted-expectation sweep. Every assembly, dense
+come from a single weighted-expectation sweep, which returns the Stein
+moment of the Hessian already centred. Every assembly, dense
 (``value_and_derivatives``) or factored (``factors.assemble``), returns
 them in one ``DerivativeBundle`` with the iterate's covariance. The
 precision derivative follows from the paper's relation
@@ -39,7 +40,6 @@ __all__ = [
     "LossFunctional",
     "DerivativeBundle",
     "value",
-    "derivatives",
     "value_and_derivatives",
 ]
 
@@ -104,10 +104,6 @@ def value_and_derivatives(
     _check_dims(loss, q)
     scalar, vector, matrix = expect_weighted(rule, q, loss.phi)
     prec = prec_of(q)
-    hess = prec @ matrix @ prec - prec * scalar
+    hess = prec @ matrix @ prec
     bundle = DerivativeBundle(prec @ vector, 0.5 * (hess + hess.T), cov_of(q))
     return scalar + 0.5 * _logdet_prec(q), bundle
-
-
-def derivatives(loss: LossFunctional, q, rule: ExpectationRule) -> DerivativeBundle:
-    return value_and_derivatives(loss, q, rule)[1]

@@ -211,6 +211,55 @@ def test_indefinite_marginal_names_factor(tmp_path, capsys):
     assert err.startswith("error: ") and "factor 'x1'" in err and "not positive definite" in err
 
 
+def test_indefinite_mean_hessian_names_the_iteration(tmp_path, capsys):
+    # -2 x^2 + 0.01 x^4 under N(0, 1) has E[phi''] = -4 + 0.12 < 0
+    poly = {"kind": "polynomial", "coefficients": [0.0, 0.0, -2.0, 0.0, 0.01]}
+    n = 5
+    raw = {
+        "schema": "ngvi-problem/1",
+        "dimension": n,
+        "init": {"form": "mean_precision", "mean": [0.0] * n,
+                 "matrix_vech": SymmetricMatrix.from_full(np.eye(n)).half.tolist()},
+        "factors": [{"id": f"p{i}", "indices": [i], "phi": poly} for i in range(n)],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error at iteration 0: mean Hessian is indefinite (smallest eigenvalue "), err
+
+
+def test_init_forms_parse_to_the_same_start():
+    mu = np.array([0.3, -1.2, 0.5])
+    prec = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.8]])
+    forms = {
+        "mean_precision": (mu, prec),
+        "mean_covariance": (mu, np.linalg.inv(prec)),
+        "natural": (prec @ mu, prec),
+    }
+    starts = {}
+    for form, (vector, matrix) in forms.items():
+        raw = json.loads(open(_bundled_path("linear_chain")).read())
+        raw["dimension"] = 3
+        raw["factors"] = raw["factors"][:3]
+        raw["init"] = {"form": form, "mean": vector.tolist(),
+                       "matrix_vech": SymmetricMatrix.from_full(0.5 * (matrix + matrix.T)).half.tolist()}
+        starts[form] = parse_problem(raw).init
+    for q in starts.values():
+        assert np.max(np.abs(q.mean - mu)) <= 1e-12
+        assert np.max(np.abs(q.prec.full() - prec)) <= 1e-12
+    raw["init"]["form"] = "cholesky"
+    with pytest.raises(ProblemError, match="field 'init.form'"):
+        parse_problem(raw)
+
+
+def test_parse_estimate_requires_the_precision(tmp_path):
+    path = tmp_path / "estimate.txt"
+    path.write_text("# ngvi-estimate/1\n# dimension 2\nmean 0.5 -0.25\n")
+    with pytest.raises(ProblemError, match="missing mean or prec_vech"):
+        parse_estimate(str(path))
+
+
 def test_singular_iterate_precision_is_named(tmp_path, capsys):
     # [[2, 1], [1, 0.5]] is singular. Its Cholesky factorization passes:
     # fl(1 / fl(sqrt 2))^2 < 0.5 leaves a positive pivot, with or without
@@ -375,6 +424,17 @@ def _set(path, value):
     return edit
 
 
+def _drop(path):
+    def edit(raw):
+        target = raw
+        for step in path[:-1]:
+            target = target[step]
+        del target[path[-1]]
+        return raw
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -405,6 +465,16 @@ def _set(path, value):
         pytest.param(_set(["config", "rel_tol"], "1e-9"), "'config.rel_tol'", id="string-rel-tol"),
         pytest.param(_set(["config", "rel_tol"], NAN), "'config'", id="nan-rel-tol"),
         pytest.param(_set(["config", "jitter"], INF), "'config'", id="inf-jitter"),
+        pytest.param(_set(["factors", 1, "id"], ""), "'factors[1].id'", id="empty-id"),
+        pytest.param(_drop(["factors", 1, "id"]), "'factors[1].id'", id="missing-id"),
+        pytest.param(_set(["factors", 1, "id"], 7), "'factors[1].id'", id="number-id"),
+        pytest.param(_set(["factors", 1, "indices"], [1, 1]), "'indices': factor 'odom_01'", id="repeated-indices"),
+        pytest.param(_set(["factors", 1, "indices"], [-1, 1]), "'indices': factor 'odom_01'", id="negative-index"),
+        pytest.param(_set(["factors", 1, "indices"], [0, 99]), "'indices': factor 'odom_01'", id="out-of-range-index"),
+        pytest.param(_drop(["dimension"]), "'dimension'", id="missing-dimension"),
+        pytest.param(_set(["dimension"], 0), "'dimension'", id="zero-dimension"),
+        pytest.param(_set(["factors"], {}), "'factors'", id="factors-object"),
+        pytest.param(_set(["factors"], []), "'factors'", id="no-factors"),
     ],
 )
 def test_malformed_structure_exits_one_naming_field(tmp_path, capsys, edit, field):

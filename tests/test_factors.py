@@ -221,7 +221,7 @@ def reference_assemble(graph, q, rule):
         prec_k = np.linalg.inv(marginal.cov.full())
         prec_k = 0.5 * (prec_k + prec_k.T)
         scalar, vector, matrix = expect_weighted(rule, marginal, f.local_phi)
-        local_hess = prec_k @ matrix @ prec_k - prec_k * scalar
+        local_hess = prec_k @ matrix @ prec_k
         grad_mu[idx] += prec_k @ vector
         hess_mu[np.ix_(idx, idx)] += 0.5 * (local_hess + local_hess.T)
         total += scalar
