@@ -237,17 +237,15 @@ def test_init_forms_parse_to_the_same_start():
         "mean_covariance": (mu, np.linalg.inv(prec)),
         "natural": (prec @ mu, prec),
     }
-    starts = {}
+    raw = json.loads(open(_bundled_path("linear_chain")).read())
+    raw["dimension"] = 3
+    raw["factors"] = raw["factors"][:3]
     for form, (vector, matrix) in forms.items():
-        raw = json.loads(open(_bundled_path("linear_chain")).read())
-        raw["dimension"] = 3
-        raw["factors"] = raw["factors"][:3]
         raw["init"] = {"form": form, "mean": vector.tolist(),
-                       "matrix_vech": SymmetricMatrix.from_full(0.5 * (matrix + matrix.T)).half.tolist()}
-        starts[form] = parse_problem(raw).init
-    for q in starts.values():
-        assert np.max(np.abs(q.mean - mu)) <= 1e-12
-        assert np.max(np.abs(q.prec.full() - prec)) <= 1e-12
+                       "matrix_vech": SymmetricMatrix.from_full(matrix).half.tolist()}
+        q = parse_problem(raw).init
+        assert np.max(np.abs(q.mean - mu)) <= 1e-12, form
+        assert np.max(np.abs(q.prec.full() - prec)) <= 1e-12, form
     raw["init"]["form"] = "cholesky"
     with pytest.raises(ProblemError, match="field 'init.form'"):
         parse_problem(raw)

@@ -411,4 +411,3 @@ def test_bimodal_target_mirrored_starts():
     assert means[0] > 0.5
     assert means[1] < -0.5
     assert np.isclose(means[0], -means[1], atol=1e-8)
-
