@@ -268,12 +268,19 @@ def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
             f"{half_len(dimension)} for dimension {dimension}"
         )
     matrix = SymmetricMatrix(dimension, half)
-    if form == "mean_covariance":
-        return convert(MeanCovariance(mean, matrix), "mean_prec")
-    if form == "mean_precision":
-        return MeanPrecision(mean, matrix)
-    if form == "natural":
-        return convert(NaturalForm(mean, matrix), "mean_prec")
+    try:
+        if form == "mean_covariance":
+            return convert(MeanCovariance(mean, matrix), "mean_prec")
+        if form == "mean_precision":
+            return MeanPrecision(mean, matrix)
+        if form == "natural":
+            return convert(NaturalForm(mean, matrix), "mean_prec")
+    except NotPositiveDefiniteError as exc:
+        raise ProblemError(f"field 'init.matrix_vech': {exc}") from None
+    except np.linalg.LinAlgError:
+        # the matrix passes its Cholesky factorization but has no inverse
+        # to convert with
+        raise ProblemError("field 'init.matrix_vech': the matrix is numerically singular") from None
     raise ProblemError(f"field 'init.form': unknown form {form!r}")
 
 
@@ -433,14 +440,23 @@ def parse_estimate(path: str) -> MeanPrecision:
             if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
-            values = np.array([float(tok) for tok in rest.split()])
+            try:
+                values = np.array([float(tok) for tok in rest.split()])
+            except ValueError as exc:
+                raise ProblemError(f"estimate file {path!r}: key {key!r}: {exc}") from None
             if key == "mean":
                 mean = values
             elif key == "prec_vech":
                 half = values
     if mean is None or half is None:
         raise ProblemError(f"estimate file {path!r} is missing mean or prec_vech")
-    return MeanPrecision(mean, SymmetricMatrix(mean.shape[0], half))
+    n = mean.shape[0]
+    if half.shape[0] != half_len(n):
+        raise ProblemError(
+            f"estimate file {path!r}: key 'prec_vech' has {half.shape[0]} values, "
+            f"expected {half_len(n)} for a mean of length {n}"
+        )
+    return MeanPrecision(mean, SymmetricMatrix(n, half))
 
 
 # ---------------------------------------------------------------------------

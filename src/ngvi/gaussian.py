@@ -4,6 +4,15 @@ Mean/covariance, mean/precision, and the natural (inverse covariance)
 form, with conversions, log-density, KL divergence, and sampling.
 Positive definiteness is validated once at construction via Cholesky;
 log-determinants come from the cached factor's pivots.
+
+A form's matrix is inverted through its cached factor, never by LU:
+with ``W = L^-1`` the inverse of the lower-triangular factor ``L``
+(``tril_inverse``), the inverse of ``L L^T`` is ``W^T W``. numpy forms
+that product with syrk, so it is exactly symmetric, and every diagonal
+entry is a sum of squares. A factor whose pivots satisfy
+``min l_ii^2 <= eps max l_ii^2`` belongs to a numerically singular
+matrix, and ``tril_inverse`` refuses it with ``LinAlgError``, as
+``np.linalg.inv`` refuses an exactly singular one.
 """
 
 from __future__ import annotations
@@ -29,11 +38,17 @@ __all__ = [
     "mean_of",
     "cov_of",
     "prec_of",
+    "tril_inverse",
 ]
 
 FORM_TAGS = ("mean_cov", "mean_prec", "natural")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EPS = float(np.finfo(float).eps)
+
+# Rows at or below which ``tril_inverse`` inverts a block with one
+# ``np.linalg.inv`` call instead of splitting it.
+_LEAF_ROWS = 64
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -49,6 +64,42 @@ def _chol(a: np.ndarray, what: str) -> np.ndarray:
 
 def _logdet_from_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """``W = L^-1`` of a lower Cholesky factor ``L``, so that
+    ``(L L^T)^-1 = W^T W``.
+
+    Raises ``np.linalg.LinAlgError`` when ``L L^T`` is numerically
+    singular: its smallest squared pivot is at most machine epsilon times
+    its largest.
+    """
+    pivots = (chol.diagonal() ** 2).tolist()
+    if min(pivots) <= _EPS * max(pivots):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return _blocked_inverse(chol)
+
+
+def _blocked_inverse(chol: np.ndarray) -> np.ndarray:
+    """``L^-1`` by blocked recursion: a block of at most ``_LEAF_ROWS``
+    rows is one ``np.linalg.inv``; above that, with
+    ``L = [[A, 0], [B, C]]``, ``L^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]``
+    from two half-size inverses and one pair of products."""
+    n = chol.shape[0]
+    if n <= _LEAF_ROWS:
+        return np.linalg.inv(chol)
+    h = n // 2
+    w = np.zeros_like(chol)
+    w[:h, :h] = _blocked_inverse(chol[:h, :h])
+    w[h:, h:] = _blocked_inverse(chol[h:, h:])
+    w[h:, :h] = -w[h:, h:] @ (chol[h:, :h] @ w[:h, :h])
+    return w
+
+
+def _inverse_from_chol(chol: np.ndarray) -> np.ndarray:
+    """The inverse ``W^T W`` of ``L L^T``, exactly symmetric."""
+    w = tril_inverse(chol)
+    return w.T @ w
 
 
 def _check_mean(mean, matrix: SymmetricMatrix) -> np.ndarray:
@@ -107,14 +158,18 @@ class MeanPrecision:
         return cls(mean, SymmetricMatrix.from_full(prec))
 
     @classmethod
-    def _from_factor(cls, mean, prec: np.ndarray, chol: np.ndarray) -> "MeanPrecision":
+    def _from_factor(
+        cls, mean, prec: np.ndarray, chol: np.ndarray, inv_chol: np.ndarray
+    ) -> "MeanPrecision":
         """The Gaussian with a dense, exactly symmetric precision whose lower
-        Cholesky factor the caller has already computed. Both are kept
-        (``prec`` made read-only) rather than expanded and factored again;
-        construction still packs the half vector and checks the mean."""
+        Cholesky factor and its inverse (``tril_inverse``) the caller has
+        already computed. All three are kept (``prec`` made read-only)
+        rather than expanded, factored and inverted again; the inverse
+        factor only until ``covariance`` is formed from it. Construction
+        still packs the half vector and checks the mean."""
         prec.setflags(write=False)
         g = cls.__new__(cls)
-        vars(g).update(precision=prec, _chol=chol)
+        vars(g).update(precision=prec, _chol=chol, _inv_chol=inv_chol)
         g.__init__(mean, SymmetricMatrix.from_full(prec))
         return g
 
@@ -137,9 +192,14 @@ class MeanPrecision:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """Dense symmetrized covariance, inverted once on first use and
-        shared by every later caller (read-only)."""
-        cov = _inv_sym(self.precision)
+        """Dense covariance ``W^T W``, for ``W`` the inverse of the
+        precision's Cholesky factor, formed once on first use and shared by
+        every later caller (read-only). Raises ``np.linalg.LinAlgError``
+        for a numerically singular precision."""
+        inv_chol = vars(self).pop("_inv_chol", None)
+        if inv_chol is None:
+            inv_chol = tril_inverse(self._chol)
+        cov = inv_chol.T @ inv_chol
         cov.setflags(write=False)
         return cov
 
@@ -174,11 +234,6 @@ def mean_of(g) -> np.ndarray:
     return g.mean.copy()
 
 
-def _inv_sym(a: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(a)
-    return 0.5 * (inv + inv.T)
-
-
 def cov_of(g) -> np.ndarray:
     """Dense covariance of any form; for a MeanPrecision, its shared
     read-only ``covariance``."""
@@ -186,7 +241,7 @@ def cov_of(g) -> np.ndarray:
         return g.cov.full()
     if isinstance(g, MeanPrecision):
         return g.covariance
-    return _inv_sym(g.eta2.full())
+    return _inverse_from_chol(g.chol)
 
 
 def prec_of(g) -> np.ndarray:
@@ -196,7 +251,7 @@ def prec_of(g) -> np.ndarray:
         return g.precision
     if isinstance(g, NaturalForm):
         return g.eta2.full()
-    return _inv_sym(g.cov.full())
+    return _inverse_from_chol(g.chol)
 
 
 def convert(g, target: str):

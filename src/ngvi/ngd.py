@@ -8,10 +8,15 @@ and solves for the mean change against that new precision:
     mu    <-  mu + step_scale * delta_mu
 
 The precision assignment is never damped; ``step_scale`` applies to the
-mean change only. Dense and factored assemblies hand the iteration the
-same ``vloss.DerivativeBundle``: the step reads its mean gradient and
-dense mean Hessian, and the predicted decrease adds its covariance, so
-each has one formula for every problem. The canonical and generic
+mean change only. The one Cholesky factorization ``L`` of the new
+precision is its definiteness test; its inverse ``W = L^-1``
+(``gaussian.tril_inverse``) gives the mean change ``-W^T (W grad_mu)``
+and, when the next assembly reads it, the new covariance ``W^T W``, so
+no LU factorization runs in the iteration. Dense and factored
+assemblies hand the iteration the same ``vloss.DerivativeBundle``: the
+step reads its mean gradient and dense mean Hessian, and the predicted
+decrease adds its covariance, so each has one formula for every
+problem. The canonical and generic
 inverse-FIM steps that the paper's evidence compares against live in
 ``ngvi.verify``.
 """
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MeanPrecision, convert
+from .gaussian import MeanPrecision, convert, tril_inverse
 from .quadrature import ExpectationRule, default_rule
 from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
 
@@ -44,7 +49,8 @@ class ConfigError(ValueError):
 
 
 class IndefiniteHessianError(RuntimeError):
-    """The mean Hessian is not positive definite at the current iterate."""
+    """The mean Hessian is not positive definite, or is numerically
+    singular, at the current iterate."""
 
     def __init__(self, message: str, min_eigenvalue: float | None = None, trace=None):
         super().__init__(message)
@@ -89,25 +95,35 @@ class IterationTrace:
         return len(self.records)
 
 
-def _hybrid_delta(d: DerivativeBundle, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_mu, new precision, its lower Cholesky factor) of the hybrid
-    update; raises on a non-finite or indefinite mean Hessian."""
+def _hybrid_delta(
+    d: DerivativeBundle, jitter: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_mu, new precision, its lower Cholesky factor, that factor's
+    inverse) of the hybrid update; raises on a non-finite, indefinite or
+    numerically singular mean Hessian."""
     hess = d.hess
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
     if not np.isfinite(hess).all():
         raise ValueError("mean Hessian contains non-finite entries")
     # the factorization is the definiteness test and the new iterate's
-    # factor; the mean step is one solve
+    # factor; its inverse W gives the mean step as two products
     try:
         chol = np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
-        lam = float(np.linalg.eigvalsh(hess).min())
-        raise IndefiniteHessianError(
-            f"mean Hessian is indefinite (smallest eigenvalue {lam:.6e})",
-            min_eigenvalue=lam,
-        ) from None
-    return -np.linalg.solve(hess, d.grad_mu), hess, chol
+        raise _hessian_error(hess, "indefinite") from None
+    try:
+        inv_chol = tril_inverse(chol)
+    except np.linalg.LinAlgError:
+        raise _hessian_error(hess, "numerically singular") from None
+    return -inv_chol.T @ (inv_chol @ d.grad_mu), hess, chol, inv_chol
+
+
+def _hessian_error(hess: np.ndarray, what: str) -> IndefiniteHessianError:
+    lam = float(np.linalg.eigvalsh(hess).min())
+    return IndefiniteHessianError(
+        f"mean Hessian is {what} (smallest eigenvalue {lam:.6e})", min_eigenvalue=lam
+    )
 
 
 def step_hybrid(
@@ -117,8 +133,8 @@ def step_hybrid(
     jitter: float = 0.0,
 ) -> MeanPrecision:
     """One hybrid natural-gradient step from the bundle evaluated at q."""
-    delta_mu, hess, chol = _hybrid_delta(d, jitter)
-    return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, hess, chol)
+    delta_mu, *factored = _hybrid_delta(d, jitter)
+    return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, *factored)
 
 
 def _predicted_decrease(d: DerivativeBundle) -> float:
@@ -128,7 +144,7 @@ def _predicted_decrease(d: DerivativeBundle) -> float:
     precision block (``fim.fim_inverse(q, "alpha")``), so this is
     -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
     Sigma is the bundle's covariance, which the assembly has already
-    inverted.
+    formed.
 
     The bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
     Hessian H. With P Sigma = I, P G = (1/2)(I - M) for M = H Sigma, so
@@ -150,10 +166,11 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
     Convergence requires both the relative mean change and the relative
     precision change to fall below rel_tol; the check runs before the
     step is applied, so a restart from a fixed point converges without
-    moving. An indefinite Hessian raises IndefiniteHessianError carrying
-    the partial trace. Inside the loop the precision stays the dense
-    array the bundle's Hessian is; each new iterate keeps it and its
-    Cholesky factor, and packs it into a half vector once.
+    moving. An indefinite or numerically singular Hessian raises
+    IndefiniteHessianError carrying the partial trace. Inside the loop the
+    precision stays the dense array the bundle's Hessian is; each new
+    iterate keeps it, its Cholesky factor and that factor's inverse, and
+    packs it into a half vector once.
     """
     q = convert(q0, "mean_prec")
     trace = IterationTrace()
@@ -161,7 +178,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
     for k in range(cfg.max_iters + 1):
         value_k, bundle = eval_fn(q)
         try:
-            delta_mu, hess, chol = _hybrid_delta(bundle, cfg.jitter)
+            delta_mu, hess, chol, inv_chol = _hybrid_delta(bundle, cfg.jitter)
         except IndefiniteHessianError as exc:
             exc.trace = trace
             raise
@@ -187,7 +204,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
             break
         if k == cfg.max_iters:
             break
-        q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol)
+        q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol, inv_chol)
         prev_value = value_k
     return q, trace
 

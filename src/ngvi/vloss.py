@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import cov_of, prec_of
+from .gaussian import MeanCovariance, _logdet_from_chol, cov_of, prec_of
 from .kronmat import DimensionError, SymmetricMatrix
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted
 
@@ -87,8 +87,10 @@ def _check_dims(loss: LossFunctional, q) -> None:
 
 
 def _logdet_prec(q) -> float:
-    sign, logdet = np.linalg.slogdet(prec_of(q))
-    return float(logdet)
+    """ln|prec| from the form's cached Cholesky factor, which factors the
+    covariance of a MeanCovariance and the precision of the other forms."""
+    logdet = _logdet_from_chol(q.chol)
+    return -logdet if isinstance(q, MeanCovariance) else logdet
 
 
 def value(loss: LossFunctional, q, rule: ExpectationRule) -> float:

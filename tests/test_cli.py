@@ -187,10 +187,9 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
-def test_indefinite_marginal_names_factor(tmp_path, capsys):
-    # The initial precision passes its Cholesky, but it is so close to
-    # singular that the LU inverse rounds the variance of x1 negative, under
-    # either rounding of the elimination step (with or without FMA).
+def test_indefinite_marginal_names_factor(tmp_path, capsys, monkeypatch):
+    # The initial precision passes its Cholesky, but its squared pivot
+    # ratio is 5.7e-17, below eps: it is numerically singular and refused.
     a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
     quad = {"kind": "gaussian_quadratic", "m": [0.0], "P": [[1.0]]}
     raw = {
@@ -207,8 +206,17 @@ def test_indefinite_marginal_names_factor(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the iterate's precision is singular: it has a Cholesky factor but no inverse\n"
+    )
+    # W^T W cannot make a negative variance, so one is injected into every
+    # iterate: the run names the first factor whose marginal fails
+    monkeypatch.setattr(MeanPrecision, "covariance", property(lambda q: np.diag([1.0, -1e-3])))
+    raw["init"]["matrix_vech"] = [1.0, 0.0, 1.0]
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "factor 'x1'" in err and "not positive definite" in err
+    assert err == "error: marginal covariance of factor 'x1' is not positive definite\n", err
 
 
 def test_indefinite_mean_hessian_names_the_iteration(tmp_path, capsys):
@@ -258,10 +266,47 @@ def test_parse_estimate_requires_the_precision(tmp_path):
         parse_estimate(str(path))
 
 
+@pytest.mark.parametrize("form", ["mean_precision", "mean_covariance", "natural"])
+def test_init_matrix_not_positive_definite_names_the_field(tmp_path, capsys, form):
+    raw = json.loads(open(_bundled_path("linear_chain")).read())
+    raw["init"] = {"form": form, "mean": [0.0] * 4, "matrix_vech": [1, 2, 0, 0, 1, 0, 0, 1, 0, 1]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'init.matrix_vech': ") and "not positive definite" in err, err
+
+
+def test_init_covariance_without_inverse_names_the_field():
+    # [[2, 1], [1, 0.5]] passes its Cholesky factorization, but as a
+    # covariance it has no precision to convert to
+    raw = json.loads(open(_bundled_path("linear_chain")).read())
+    raw["init"] = {"form": "mean_covariance", "mean": [0.0] * 4,
+                   "matrix_vech": [2.0, 1.0, 0, 0, 0.5, 0, 0, 1, 0, 1]}
+    with pytest.raises(ProblemError, match="^field 'init.matrix_vech': the matrix is numerically singular$"):
+        parse_problem(raw)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("mean 0.5 x\nprec_vech 1 0 1\n", "key 'mean': could not convert string to float: 'x'"),
+        ("mean 0.5 -0.25\nprec_vech 1 0\n", "key 'prec_vech' has 2 values, expected 3 for a mean of length 2"),
+    ],
+    ids=["non-numeric-token", "short-prec-vech"],
+)
+def test_parse_estimate_names_the_file_and_key(tmp_path, lines, message):
+    path = tmp_path / "estimate.txt"
+    path.write_text("# ngvi-estimate/1\n# dimension 2\n" + lines)
+    with pytest.raises(ProblemError) as excinfo:
+        parse_estimate(str(path))
+    assert str(excinfo.value) == f"estimate file {str(path)!r}: {message}"
+
+
 def test_singular_iterate_precision_is_named(tmp_path, capsys):
     # [[2, 1], [1, 0.5]] is singular. Its Cholesky factorization passes:
     # fl(1 / fl(sqrt 2))^2 < 0.5 leaves a positive pivot, with or without
-    # FMA. LU elimination meets an exact zero pivot: 0.5 - (1/2) * 1 = 0.
+    # FMA, but its squared pivot ratio, 5.6e-17, is below eps.
     quad = {"kind": "gaussian_quadratic", "m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}
     raw = {
         "schema": "ngvi-problem/1",

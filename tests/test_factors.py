@@ -390,14 +390,20 @@ def test_all_gaussian_graph_sweeps_nothing():
 
 @pytest.mark.parametrize("swept", [False, True], ids=["gaussians-only", "block-also-swept"])
 def test_indefinite_gaussian_marginal_is_named(swept):
-    # the precision of test_cli's near-singular problem: its inverse rounds
-    # the variance of x1 negative
-    a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
     factor_list = [Factor.gaussian("x1", (1,), [0.0], [[1.0]]), Factor.gaussian("pair", (0, 1), [0.0, 0.0], np.eye(2))]
     if swept:
         factor_list.append(Factor("obs", (1,), build_phi("polynomial", {"coefficients": [0.0, 1.0]}, 1, "obs")))
     graph = FactorGraph(2, tuple(factor_list))
+    # the near-singular precision of test_cli: its squared pivot ratio is
+    # 5.7e-17, so the iterate is refused before any marginal is sliced
+    a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
     q = MeanPrecision(np.zeros(2), SymmetricMatrix(2, np.array([a, b, c])))
+    with pytest.raises(NotPositiveDefiniteError, match="^the iterate's precision is singular"):
+        factors._assemble(graph, q, RULE5)
+    # W^T W cannot make a negative variance, so one is injected: the first
+    # factor whose marginal fails its Cholesky is named
+    q = MeanPrecision.from_dense(np.zeros(2), np.eye(2))
+    vars(q)["covariance"] = np.diag([1.0, -1e-3])
     with pytest.raises(NotPositiveDefiniteError, match="factor 'x1'"):
         factors._assemble(graph, q, RULE5)
 
@@ -558,9 +564,7 @@ def per_point_error(q, f, rule):
     """The message and node of the first non-finite value met by the
     per-point loop that the batched sweep replaced."""
     idx = list(f.indices)
-    sigma = np.linalg.inv(q.prec.full())
-    sigma = 0.5 * (sigma + sigma.T)
-    chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
+    chol = np.linalg.cholesky(q.covariance[np.ix_(idx, idx)])
     nodes, _ = _gh_grid(rule.order, len(idx))
     for x in q.mean[idx] + nodes @ chol.T:
         value = f.local_phi(x[None])[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngvi._testing import random_gaussian, random_spd
 from ngvi.gaussian import (
@@ -16,6 +18,7 @@ from ngvi.gaussian import (
     mean_of,
     prec_of,
     sample,
+    tril_inverse,
 )
 from ngvi.kronmat import DimensionError, SymmetricMatrix
 from ngvi.quadrature import ExpectationRule, expect_scalar
@@ -196,3 +199,45 @@ def test_sample_rejects_nonpositive_count():
     g = MeanCovariance.from_dense([0.0], [[1.0]])
     with pytest.raises(ValueError):
         sample(g, 0, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 63, 64, 65, 129, 200]),
+    log_cond=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tril_inverse_inverts_the_factor(n, log_cond, seed):
+    # a precision of condition number up to 1e12: random eigenvectors,
+    # eigenvalues spread evenly in log scale
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    prec = (basis * np.logspace(0.0, -log_cond, n)) @ basis.T
+    chol = np.linalg.cholesky(0.5 * (prec + prec.T))
+    w = tril_inverse(chol)
+    cov = w.T @ w
+    assert np.array_equal(cov, cov.T)
+    # a backward-stable inverse: residual and forward error within
+    # n eps cond(L), the factor's 2-norm condition number
+    bound = n * np.finfo(float).eps * np.linalg.cond(chol)
+    assert np.max(np.abs(chol @ w - np.eye(n))) <= bound
+    ref = np.linalg.inv(chol)
+    assert np.max(np.abs(w - ref)) <= bound * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2.0, 1.0], [1.0, 0.5]],
+        [[3.8873945481944796, 2.5281465849980265], [2.5281465849980265, 1.6441668258771829]],
+    ],
+    ids=["exactly-singular", "near-singular"],
+)
+def test_tril_inverse_refuses_a_numerically_singular_factor(matrix):
+    # both pass their Cholesky factorization with a squared pivot ratio
+    # below eps (5.6e-17 and 5.7e-17)
+    chol = np.linalg.cholesky(np.array(matrix))
+    with pytest.raises(np.linalg.LinAlgError):
+        tril_inverse(chol)
+    with pytest.raises(np.linalg.LinAlgError):
+        MeanPrecision.from_dense([0.0, 0.0], matrix).covariance

@@ -165,23 +165,44 @@ def test_step_hybrid_step_scale_dampens_mean_only():
     assert np.allclose(half.mean - q0.mean, 0.5 * (full.mean - q0.mean), atol=1e-12)
 
 
+def record_dense_lu(monkeypatch, n):
+    """Patch ``np.linalg.inv`` and ``solve`` to record the shape of every
+    argument whose trailing n x n matrix is not lower triangular, that is,
+    every LU factorization of an n x n precision or Hessian; inverting a
+    Cholesky factor is not recorded."""
+    dense = []
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def record(a):
+        a = np.asarray(a)
+        if a.shape[-2:] == (n, n) and not np.array_equal(a, np.tril(a)):
+            dense.append(a.shape)
+
+    def counted_inv(a):
+        record(a)
+        return inv(a)
+
+    def counted_solve(a, b):
+        record(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return dense
+
+
 def test_step_hybrid_solves_for_the_mean_once(monkeypatch):
+    # the mean step is -W^T (W g) through the Hessian's one factor, with
+    # no LU factorization of the Hessian
     rng = np.random.default_rng(16)
     n = 6
     hess = random_spd(n, rng)
     q = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
     bundle = DerivativeBundle(rng.standard_normal(n), hess, q.covariance)
-    solves = []
-    solve = np.linalg.solve
-
-    def counted(a, b):
-        solves.append(np.shape(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    out = step_hybrid(q, bundle)
-    assert solves == [(n, n)]
     expected = q.mean - np.linalg.inv(hess) @ bundle.grad_mu
+    dense = record_dense_lu(monkeypatch, n)
+    out = step_hybrid(q, bundle)
+    assert dense == []
     assert np.max(np.abs(out.mean - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -286,20 +307,14 @@ def test_predicted_decrease_matches_the_trace_formula():
 
 
 def test_factored_run_inverts_one_dense_precision_per_iteration(monkeypatch):
+    # each covariance is W^T W from the precision's factor, and each mean
+    # step goes through the Hessian's factor: no LU factorization of an
+    # n x n precision or Hessian anywhere in the run
     spec = load_problem("linear_chain")
-    n = spec.dimension
-    dense = []
-    inv = np.linalg.inv
-
-    def counted(a):
-        if np.shape(a) == (n, n):
-            dense.append(1)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    dense = record_dense_lu(monkeypatch, spec.dimension)
     _, trace = optimize_factored(spec.graph, spec.init, spec.config)
     assert trace.converged and len(trace.records) >= 2
-    assert len(dense) == len(trace.records)
+    assert dense == []
 
 
 def test_factored_run_factors_and_packs_each_precision_once(monkeypatch):
@@ -393,6 +408,25 @@ def test_indefinite_hessian_error_carries_partial_trace():
     with pytest.raises(IndefiniteHessianError) as excinfo:
         iterate_hybrid(eval_fn, q0, NgdConfig(rule=RULE5))
     assert len(excinfo.value.trace.records) == 1
+
+
+def test_numerically_singular_hessian_is_refused_with_the_trace():
+    # [[2, 1], [1, 0.5]] is singular but passes its Cholesky factorization:
+    # its second squared pivot is below eps times its first
+    singular = np.array([[2.0, 1.0], [1.0, 0.5]])
+    calls = {"n": 0}
+
+    def eval_fn(q):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return 0.0, DerivativeBundle(np.zeros(2), 2.0 * np.eye(2), q.covariance)
+        return 0.0, DerivativeBundle(np.zeros(2), singular, q.covariance)
+
+    q0 = MeanPrecision.from_dense([1.0, 0.0], np.eye(2))
+    with pytest.raises(IndefiniteHessianError, match=r"^mean Hessian is numerically singular \(smallest eigenvalue ") as excinfo:
+        iterate_hybrid(eval_fn, q0, NgdConfig(rule=RULE5))
+    assert len(excinfo.value.trace.records) == 1
+    assert abs(excinfo.value.min_eigenvalue) <= 1e-15
 
 
 def test_bimodal_target_mirrored_starts():
