@@ -92,7 +92,11 @@ def _blocked_inverse(chol: np.ndarray) -> np.ndarray:
     w = np.zeros_like(chol)
     w[:h, :h] = _blocked_inverse(chol[:h, :h])
     w[h:, h:] = _blocked_inverse(chol[h:, h:])
-    w[h:, :h] = -w[h:, h:] @ (chol[h:, :h] @ w[:h, :h])
+    # in place: block-sized temporaries would stay on the heap and raise
+    # the process's peak memory
+    off = chol[h:, :h] @ w[:h, :h]
+    np.negative(off, out=off)
+    np.matmul(w[h:, h:], off, out=w[h:, :h])
     return w
 
 

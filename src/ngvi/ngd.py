@@ -95,17 +95,21 @@ class IterationTrace:
         return len(self.records)
 
 
-def _hybrid_delta(
-    d: DerivativeBundle, jitter: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_mu, new precision, its lower Cholesky factor, that factor's
-    inverse) of the hybrid update; raises on a non-finite, indefinite or
-    numerically singular mean Hessian."""
+def _step_hessian(d: DerivativeBundle, jitter: float) -> np.ndarray:
+    """The precision the hybrid step assigns: the bundle's mean Hessian,
+    plus ``jitter`` on its diagonal; raises on non-finite entries."""
     hess = d.hess
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
     if not np.isfinite(hess).all():
         raise ValueError("mean Hessian contains non-finite entries")
+    return hess
+
+
+def _hybrid_delta(hess: np.ndarray, grad_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_mu, lower Cholesky factor of the new precision ``hess``,
+    that factor's inverse) of the hybrid update; raises on an indefinite
+    or numerically singular ``hess``."""
     # the factorization is the definiteness test and the new iterate's
     # factor; its inverse W gives the mean step as two products
     try:
@@ -116,7 +120,7 @@ def _hybrid_delta(
         inv_chol = tril_inverse(chol)
     except np.linalg.LinAlgError:
         raise _hessian_error(hess, "numerically singular") from None
-    return -inv_chol.T @ (inv_chol @ d.grad_mu), hess, chol, inv_chol
+    return -inv_chol.T @ (inv_chol @ grad_mu), chol, inv_chol
 
 
 def _hessian_error(hess: np.ndarray, what: str) -> IndefiniteHessianError:
@@ -133,8 +137,9 @@ def step_hybrid(
     jitter: float = 0.0,
 ) -> MeanPrecision:
     """One hybrid natural-gradient step from the bundle evaluated at q."""
-    delta_mu, *factored = _hybrid_delta(d, jitter)
-    return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, *factored)
+    hess = _step_hessian(d, jitter)
+    delta_mu, chol, inv_chol = _hybrid_delta(hess, d.grad_mu)
+    return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, hess, chol, inv_chol)
 
 
 def _predicted_decrease(d: DerivativeBundle) -> float:
@@ -177,8 +182,12 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
     prev_value: float | None = None
     for k in range(cfg.max_iters + 1):
         value_k, bundle = eval_fn(q)
+        hess = _step_hessian(bundle, cfg.jitter)
+        # before the step, so that its products and the step's new factor
+        # and inverse are not held at once
+        predicted = _predicted_decrease(bundle)
         try:
-            delta_mu, hess, chol, inv_chol = _hybrid_delta(bundle, cfg.jitter)
+            delta_mu, chol, inv_chol = _hybrid_delta(hess, bundle.grad_mu)
         except IndefiniteHessianError as exc:
             exc.trace = trace
             raise
@@ -191,7 +200,7 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
                 value=value_k,
                 grad_norm=float(np.linalg.norm(bundle.grad_mu)),
                 accepted=accepted,
-                predicted_decrease=_predicted_decrease(bundle),
+                predicted_decrease=predicted,
             )
         )
         prec_old = q.precision
@@ -205,6 +214,9 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
         if k == cfg.max_iters:
             break
         q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol, inv_chol)
+        # the iterate alone holds the inverse factor, until its covariance
+        # is formed from it
+        del inv_chol
         prev_value = value_k
     return q, trace
 
