@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -456,7 +456,12 @@ def parse_estimate(path: str) -> MeanPrecision:
             f"estimate file {path!r}: key 'prec_vech' has {half.shape[0]} values, "
             f"expected {half_len(n)} for a mean of length {n}"
         )
-    return MeanPrecision(mean, SymmetricMatrix(n, half))
+    if not np.isfinite(mean).all():
+        raise ProblemError(f"estimate file {path!r}: key 'mean' contains non-finite entries")
+    try:
+        return MeanPrecision(mean, SymmetricMatrix(n, half))
+    except ValueError as exc:
+        raise ProblemError(f"estimate file {path!r}: key 'prec_vech': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +469,15 @@ def parse_estimate(path: str) -> MeanPrecision:
 
 
 def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
-    rule = spec.rule
-    if args.rule is not None or args.order is not None or args.seed is not None:
-        rule = ExpectationRule(
-            kind=args.rule if args.rule is not None else rule.kind,
-            order=args.order if args.order is not None else rule.order,
-            seed=args.seed if args.seed is not None else rule.seed,
-        )
-    cfg = spec.config
-    config = NgdConfig(
-        max_iters=args.max_iters if args.max_iters is not None else cfg.max_iters,
-        rel_tol=args.rel_tol if args.rel_tol is not None else cfg.rel_tol,
-        step_scale=args.step_scale if args.step_scale is not None else cfg.step_scale,
-        jitter=args.jitter if args.jitter is not None else cfg.jitter,
-        rule=rule,
-    )
-    return ProblemSpec(spec.name, spec.dimension, spec.init, spec.graph, rule, config)
+    """The spec with each field whose flag was given set to the flag's
+    value; ``--rule`` sets the rule's ``kind``."""
+
+    def given(**flags):
+        return {key: getattr(args, flag) for key, flag in flags.items() if getattr(args, flag) is not None}
+
+    rule = replace(spec.rule, **given(kind="rule", order="order", seed="seed"))
+    overrides = given(max_iters="max_iters", rel_tol="rel_tol", step_scale="step_scale", jitter="jitter")
+    return replace(spec, rule=rule, config=replace(spec.config, rule=rule, **overrides))
 
 
 def run_command(args) -> int:
@@ -493,7 +491,11 @@ def run_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --output {args.output!r}: {exc}", file=sys.stderr)
+        return 1
     started = time.perf_counter()
     try:
         q_final, trace = optimize_factored(spec.graph, spec.init, spec.config)
@@ -506,8 +508,6 @@ def run_command(args) -> int:
         return 1
     wall = time.perf_counter() - started
 
-    write_trace(os.path.join(args.output, "trace.txt"), trace)
-    write_estimate(os.path.join(args.output, "estimate.txt"), q_final)
     manifest = {
         "schema": "ngvi-manifest/1",
         "problem": spec.name,
@@ -523,10 +523,14 @@ def run_command(args) -> int:
         "converged": trace.converged,
         "wall_time_s": wall,
     }
-    _atomic_write(
-        os.path.join(args.output, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    try:
+        write_trace(os.path.join(args.output, "trace.txt"), trace)
+        write_estimate(os.path.join(args.output, "estimate.txt"), q_final)
+        manifest_path = os.path.join(args.output, "manifest.json")
+        _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: --output {args.output!r}: {exc}", file=sys.stderr)
+        return 1
     if not trace.converged:
         print(
             f"did not converge within {spec.config.max_iters} iterations", file=sys.stderr

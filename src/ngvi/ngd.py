@@ -13,10 +13,11 @@ precision is its definiteness test; its inverse ``W = L^-1``
 (``gaussian.tril_inverse``) gives the mean change ``-W^T (W grad_mu)``
 and, when the next assembly reads it, the new covariance ``W^T W``, so
 no LU factorization runs in the iteration. Dense and factored
-assemblies hand the iteration the same ``vloss.DerivativeBundle``: the
-step reads its mean gradient and dense mean Hessian, and the predicted
-decrease adds its covariance, so each has one formula for every
-problem. The canonical and generic
+assemblies hand the iteration the same ``vloss.DerivativeBundle``, and
+the step reads only its mean gradient and dense mean Hessian; the
+bundle's predicted decrease is built only when something reads it. A
+trace record holds the iteration, the loss value, the mean-gradient
+norm and whether the value did not increase. The canonical and generic
 inverse-FIM steps that the paper's evidence compares against live in
 ``ngvi.verify``.
 """
@@ -83,7 +84,6 @@ class TraceRecord:
     value: float
     grad_norm: float
     accepted: bool
-    predicted_decrease: float
 
 
 @dataclass
@@ -95,21 +95,20 @@ class IterationTrace:
         return len(self.records)
 
 
-def _step_hessian(d: DerivativeBundle, jitter: float) -> np.ndarray:
-    """The precision the hybrid step assigns: the bundle's mean Hessian,
-    plus ``jitter`` on its diagonal; raises on non-finite entries."""
+def _hybrid_step(
+    d: DerivativeBundle, jitter: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hess, delta_mu, chol, inv_chol) of the hybrid update from the
+    bundle: the new precision, which is the bundle's mean Hessian plus
+    ``jitter`` on its diagonal; the mean change against it; its lower
+    Cholesky factor; and that factor's inverse. Raises ValueError on
+    non-finite entries and IndefiniteHessianError on an indefinite or
+    numerically singular precision."""
     hess = d.hess
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
     if not np.isfinite(hess).all():
         raise ValueError("mean Hessian contains non-finite entries")
-    return hess
-
-
-def _hybrid_delta(hess: np.ndarray, grad_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_mu, lower Cholesky factor of the new precision ``hess``,
-    that factor's inverse) of the hybrid update; raises on an indefinite
-    or numerically singular ``hess``."""
     # the factorization is the definiteness test and the new iterate's
     # factor; its inverse W gives the mean step as two products
     try:
@@ -120,7 +119,7 @@ def _hybrid_delta(hess: np.ndarray, grad_mu: np.ndarray) -> tuple[np.ndarray, np
         inv_chol = tril_inverse(chol)
     except np.linalg.LinAlgError:
         raise _hessian_error(hess, "numerically singular") from None
-    return -inv_chol.T @ (inv_chol @ grad_mu), chol, inv_chol
+    return hess, -inv_chol.T @ (inv_chol @ d.grad_mu), chol, inv_chol
 
 
 def _hessian_error(hess: np.ndarray, what: str) -> IndefiniteHessianError:
@@ -136,33 +135,12 @@ def step_hybrid(
     step_scale: float = 1.0,
     jitter: float = 0.0,
 ) -> MeanPrecision:
-    """One hybrid natural-gradient step from the bundle evaluated at q."""
-    hess = _step_hessian(d, jitter)
-    delta_mu, chol, inv_chol = _hybrid_delta(hess, d.grad_mu)
+    """One hybrid natural-gradient step from the bundle evaluated at q:
+    the precision becomes the bundle's mean Hessian (plus ``jitter`` on
+    its diagonal), and the mean moves by ``step_scale`` times the solve
+    against it."""
+    hess, delta_mu, chol, inv_chol = _hybrid_step(d, jitter)
     return MeanPrecision._from_factor(q.mean + step_scale * delta_mu, hess, chol, inv_chol)
-
-
-def _predicted_decrease(d: DerivativeBundle) -> float:
-    """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
-
-    The inverse FIM is Sigma on the mean block and 2 P (x) P on the
-    precision block (``fim.fim_inverse(q, "alpha")``), so this is
-    -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
-    Sigma is the bundle's covariance, which the assembly has already
-    formed.
-
-    The bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
-    Hessian H. With P Sigma = I, P G = (1/2)(I - M) for M = H Sigma, so
-
-        tr(P G P G) = (1/4) tr((I - M)^2) = (1/4)(n - 2 tr M + sum(M * M^T)),
-
-    one product where forming G and P G takes three. It is summed as
-    (1/4) sum(D * D^T) with D = I - M, which does not cancel as M nears
-    I at a fixed point.
-    """
-    resid = -(d.hess @ d.cov)
-    resid[np.diag_indices_from(resid)] += 1.0
-    return float(-0.5 * d.grad_mu @ (d.cov @ d.grad_mu) - 0.25 * np.sum(resid * resid.T))
 
 
 def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, IterationTrace]:
@@ -172,37 +150,28 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
     precision change to fall below rel_tol; the check runs before the
     step is applied, so a restart from a fixed point converges without
     moving. An indefinite or numerically singular Hessian raises
-    IndefiniteHessianError carrying the partial trace. Inside the loop the
-    precision stays the dense array the bundle's Hessian is; each new
-    iterate keeps it, its Cholesky factor and that factor's inverse, and
-    packs it into a half vector once.
+    IndefiniteHessianError carrying the partial trace. Each iteration
+    evaluates the bundle once, takes the step ``step_hybrid`` takes and
+    computes only what the trace record and the next iterate read.
+    Inside the loop the precision stays the dense array the bundle's
+    Hessian is; each new iterate keeps it, its Cholesky factor and that
+    factor's inverse, and packs it into a half vector once.
     """
     q = convert(q0, "mean_prec")
     trace = IterationTrace()
     prev_value: float | None = None
     for k in range(cfg.max_iters + 1):
         value_k, bundle = eval_fn(q)
-        hess = _step_hessian(bundle, cfg.jitter)
-        # before the step, so that its products and the step's new factor
-        # and inverse are not held at once
-        predicted = _predicted_decrease(bundle)
         try:
-            delta_mu, chol, inv_chol = _hybrid_delta(hess, bundle.grad_mu)
+            hess, delta_mu, chol, inv_chol = _hybrid_step(bundle, cfg.jitter)
         except IndefiniteHessianError as exc:
             exc.trace = trace
             raise
         accepted = prev_value is None or value_k <= prev_value + 1e-12 * max(
             1.0, abs(prev_value)
         )
-        trace.records.append(
-            TraceRecord(
-                iteration=k,
-                value=value_k,
-                grad_norm=float(np.linalg.norm(bundle.grad_mu)),
-                accepted=accepted,
-                predicted_decrease=predicted,
-            )
-        )
+        grad_norm = float(np.linalg.norm(bundle.grad_mu))
+        trace.records.append(TraceRecord(k, value_k, grad_norm, accepted))
         prec_old = q.precision
         rel_mu = float(np.linalg.norm(cfg.step_scale * delta_mu)) / max(
             1.0, float(np.linalg.norm(q.mean))

@@ -19,9 +19,11 @@ precision derivative follows from the paper's relation
     grad_prec = (1/2) cov - (1/2) cov @ hess_mu @ cov
 
 and is built only when read: the hybrid step needs only grad_mu and the
-mean Hessian. The direct moment formula for grad_prec, which criterion 5
-compares with this relation, and the finite-difference validation of all
-three blocks (``fd_check``) live in ``ngvi.verify``.
+mean Hessian. So is the bundle's predicted decrease, the quadratic-model
+loss change -(1/2) g^T I^{-1} g. The direct moment formula for
+grad_prec, which criterion 5 compares with this relation, and the
+finite-difference validation of all three blocks (``fd_check``) live in
+``ngvi.verify``.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class DerivativeBundle:
 
         grad_prec = (1/2) cov - (1/2) cov @ hess @ cov
 
-    and, like the packed ``hess_mu``, is built on first read: the hybrid
-    step needs neither, and the relation costs two dense products."""
+    and, like the packed ``hess_mu`` and the ``predicted_decrease``, is
+    built on first read: the hybrid step needs none of them, and each
+    costs dense products."""
 
     grad_mu: np.ndarray
     hess: np.ndarray
@@ -79,6 +82,29 @@ class DerivativeBundle:
     def grad_prec(self) -> SymmetricMatrix:
         grad_prec = 0.5 * self.cov - 0.5 * self.cov @ self.hess @ self.cov
         return SymmetricMatrix.from_full(0.5 * (grad_prec + grad_prec.T))
+
+    @cached_property
+    def predicted_decrease(self) -> float:
+        """Quadratic-model loss change -(1/2) g^T I^{-1} g in hybrid coordinates.
+
+        The inverse FIM is Sigma on the mean block and 2 P (x) P on the
+        precision block (``fim.fim_inverse(q, "alpha")``), so this is
+        -(1/2) g_mu^T Sigma g_mu - tr(P G P G) for the precision gradient G.
+        Sigma is the bundle's covariance, which the assembly has already
+        formed.
+
+        The bundle's G is (1/2) Sigma - (1/2) Sigma H Sigma for its mean
+        Hessian H. With P Sigma = I, P G = (1/2)(I - M) for M = H Sigma, so
+
+            tr(P G P G) = (1/4) tr((I - M)^2) = (1/4)(n - 2 tr M + sum(M * M^T)),
+
+        one product where forming G and P G takes three. It is summed as
+        (1/4) sum(D * D^T) with D = I - M, which does not cancel as M nears
+        I at a fixed point.
+        """
+        resid = -(self.hess @ self.cov)
+        resid[np.diag_indices_from(resid)] += 1.0
+        return float(-0.5 * self.grad_mu @ (self.cov @ self.grad_mu) - 0.25 * np.sum(resid * resid.T))
 
 
 def _check_dims(loss: LossFunctional, q) -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngvi import cli
 from ngvi.cli import (
     ProblemError,
     build_phi,
@@ -292,8 +293,11 @@ def test_init_covariance_without_inverse_names_the_field():
     [
         ("mean 0.5 x\nprec_vech 1 0 1\n", "key 'mean': could not convert string to float: 'x'"),
         ("mean 0.5 -0.25\nprec_vech 1 0\n", "key 'prec_vech' has 2 values, expected 3 for a mean of length 2"),
+        ("mean 0.5 -0.25\nprec_vech 1 2 1\n", "key 'prec_vech': precision is not positive definite"),
+        ("mean 0.5 nan\nprec_vech 1 0 1\n", "key 'mean' contains non-finite entries"),
+        ("mean 0.5 -0.25\nprec_vech 1 inf 1\n", "key 'prec_vech': half vector contains non-finite entries"),
     ],
-    ids=["non-numeric-token", "short-prec-vech"],
+    ids=["non-numeric-token", "short-prec-vech", "indefinite-prec-vech", "nan-mean", "inf-prec-vech"],
 )
 def test_parse_estimate_names_the_file_and_key(tmp_path, lines, message):
     path = tmp_path / "estimate.txt"
@@ -301,6 +305,25 @@ def test_parse_estimate_names_the_file_and_key(tmp_path, lines, message):
     with pytest.raises(ProblemError) as excinfo:
         parse_estimate(str(path))
     assert str(excinfo.value) == f"estimate file {str(path)!r}: {message}"
+
+
+def test_output_path_that_is_a_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["run", "scalar_gaussian", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {str(out)!r}: ") and err.count("\n") == 1, err
+
+
+def test_output_write_failure_exits_one(tmp_path, capsys, monkeypatch):
+    def unwritable(path, q):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_estimate", unwritable)
+    out = tmp_path / "out"
+    assert main(["run", "scalar_gaussian", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {str(out)!r}: ") and "Permission denied" in err, err
 
 
 def test_singular_iterate_precision_is_named(tmp_path, capsys):

@@ -22,7 +22,7 @@ from ngvi.factors import (
 )
 from ngvi.gaussian import MeanCovariance, MeanPrecision, NotPositiveDefiniteError, convert
 from ngvi.kronmat import SymmetricMatrix, _vech_indices, half_len
-from ngvi.ngd import NgdConfig, _predicted_decrease, optimize
+from ngvi.ngd import NgdConfig, optimize
 from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
@@ -483,7 +483,7 @@ def test_factored_predicted_decrease_matches_the_generic_form(data):
     assert np.array_equal(bundle.hess, bundle.hess.T)
     prod = q.precision @ bundle.grad_prec.full()
     expected = -0.5 * bundle.grad_mu @ q.covariance @ bundle.grad_mu - np.sum(prod * prod.T)
-    assert abs(_predicted_decrease(bundle) - expected) <= 1e-12 * abs(expected)
+    assert abs(bundle.predicted_decrease - expected) <= 1e-12 * abs(expected)
 
 
 def test_assembly_factors_each_distinct_block_once(monkeypatch):
@@ -696,7 +696,7 @@ def test_factored_equals_unfactored_on_random_convex_graphs(data):
     assert rel(value_f, value_u) <= 1e-12
     assert rel(bundle_f.grad_mu, bundle_u.grad_mu) <= 1e-12
     assert rel(bundle_f.hess, bundle_u.hess) <= 1e-12
-    assert rel(_predicted_decrease(bundle_f), _predicted_decrease(bundle_u)) <= 1e-12
+    assert rel(bundle_f.predicted_decrease, bundle_u.predicted_decrease) <= 1e-12
 
     # a tolerance so small that both runs take all five steps
     cfg = NgdConfig(max_iters=5, rel_tol=1e-300, rule=RULE5)

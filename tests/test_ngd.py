@@ -5,7 +5,7 @@ import pytest
 
 from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd, random_symmetric
-from ngvi.cli import load_problem
+from ngvi.cli import load_problem, main
 from ngvi.factors import SparsityError, optimize_factored
 from ngvi.fim import fim_inverse
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
@@ -14,7 +14,6 @@ from ngvi.ngd import (
     ConfigError,
     IndefiniteHessianError,
     NgdConfig,
-    _predicted_decrease,
     iterate_hybrid,
     optimize,
     step_hybrid,
@@ -291,19 +290,43 @@ def test_optimize_respects_max_iters():
 def test_predicted_decrease_matches_the_trace_formula():
     # -(1/2) g^T I^-1 g with the closed-form inverse FIM of the mean/precision
     # coordinates: vec (alpha) and, with the gradient D^T vec(G), vech (beta),
-    # for the bundle's relation-derived G of a random mean Hessian
+    # for the bundle's relation-derived G of a random mean Hessian. An
+    # indefinite Hessian, the one a failing iteration sees, still gives a
+    # nonpositive value: tr((I - H Sigma)^2) = ||I - Sigma^1/2 H Sigma^1/2||_F^2.
     rng = np.random.default_rng(11)
+    indefinite_rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         q = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-        bundle = DerivativeBundle(rng.standard_normal(n), random_spd(n, rng), q.covariance)
-        grad_prec = vec(bundle.grad_prec.full())
-        for tag, g in (
-            ("alpha", np.concatenate([bundle.grad_mu, grad_prec])),
-            ("beta", np.concatenate([bundle.grad_mu, duplication(n).dup.T @ grad_prec])),
+        for bundle in (
+            DerivativeBundle(rng.standard_normal(n), random_spd(n, rng), q.covariance),
+            DerivativeBundle(
+                indefinite_rng.standard_normal(n), random_symmetric(n, indefinite_rng), q.covariance
+            ),
         ):
-            expected = float(-0.5 * g @ fim_inverse(q, tag).matrix @ g)
-            assert abs(_predicted_decrease(bundle) - expected) <= 1e-12 * abs(expected)
+            grad_prec = vec(bundle.grad_prec.full())
+            for tag, g in (
+                ("alpha", np.concatenate([bundle.grad_mu, grad_prec])),
+                ("beta", np.concatenate([bundle.grad_mu, duplication(n).dup.T @ grad_prec])),
+            ):
+                expected = float(-0.5 * g @ fim_inverse(q, tag).matrix @ g)
+                assert abs(bundle.predicted_decrease - expected) <= 1e-12 * abs(expected)
+            assert bundle.predicted_decrease <= 0.0
+
+
+def test_no_iteration_reads_the_predicted_decrease(monkeypatch, tmp_path):
+    # the predicted decrease is built only for a reader, and a run has none
+    def unread(bundle):
+        raise AssertionError("the predicted decrease was computed")
+
+    monkeypatch.setattr(DerivativeBundle, "predicted_decrease", property(unread))
+    rng = np.random.default_rng(12)
+    loss = quadratic_loss(rng.standard_normal(2), random_spd(2, rng))
+    q0 = MeanPrecision.from_dense(rng.standard_normal(2), random_spd(2, rng))
+    assert optimize(loss, q0, NgdConfig(rule=RULE5))[1].converged
+    spec = load_problem("linear_chain")
+    assert optimize_factored(spec.graph, spec.init, spec.config)[1].converged
+    assert main(["run", "linear_chain", "-o", str(tmp_path / "out")]) == 0
 
 
 def test_factored_run_inverts_one_dense_precision_per_iteration(monkeypatch):
@@ -387,8 +410,16 @@ def test_predicted_decrease_is_nonpositive():
     n = 2
     loss = quadratic_loss(rng.standard_normal(n), random_spd(n, rng))
     q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    _, trace = optimize(loss, q0, NgdConfig(rule=RULE5))
-    assert all(r.predicted_decrease <= 1e-12 for r in trace.records)
+    bundles = []
+
+    def eval_fn(q):
+        value, bundle = value_and_derivatives(loss, q, RULE5)
+        bundles.append(bundle)
+        return value, bundle
+
+    _, trace = iterate_hybrid(eval_fn, q0, NgdConfig(rule=RULE5))
+    assert len(bundles) == len(trace.records)
+    assert all(b.predicted_decrease <= 1e-12 for b in bundles)
 
 
 def test_indefinite_hessian_error_carries_partial_trace():
