@@ -342,6 +342,8 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         raise ProblemError(f"field 'indices': {exc}") from None
 
     rule_raw = _known_fields(raw.get("rule", {}), "rule", {"kind": "gauss_hermite", "order": 5, "seed": 0})
+    if rule_raw["kind"] == "monte_carlo" and "order" not in raw["rule"]:
+        raise ProblemError("field 'rule.order' is required for a monte_carlo rule: it is the sample count")
     order = _integer(rule_raw["order"], "field 'rule.order'")
     seed = _integer(rule_raw["seed"], "field 'rule.seed'")
     try:
@@ -470,12 +472,17 @@ def parse_estimate(path: str) -> MeanPrecision:
 
 def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
     """The spec with each field whose flag was given set to the flag's
-    value; ``--rule`` sets the rule's ``kind``."""
+    value; ``--rule`` sets the rule's ``kind``, and a new kind needs
+    ``--order``, whose meaning changes with it."""
 
     def given(**flags):
         return {key: getattr(args, flag) for key, flag in flags.items() if getattr(args, flag) is not None}
 
     rule = replace(spec.rule, **given(kind="rule", order="order", seed="seed"))
+    if rule.kind != spec.rule.kind and args.order is None:
+        raise ProblemError(
+            f"--rule {rule.kind} needs --order: the problem's order {spec.rule.order} is a {spec.rule.kind} order"
+        )
     overrides = given(max_iters="max_iters", rel_tol="rel_tol", step_scale="step_scale", jitter="jitter")
     return replace(spec, rule=rule, config=replace(spec.config, rule=rule, **overrides))
 

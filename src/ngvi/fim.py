@@ -1,12 +1,19 @@
 """Fisher information matrices for five Gaussian parameterizations.
 
-Parameter tags:
+Each tag is the mean plus one matrix in one layout, and ``_PARAMS`` is
+the table of both:
 
 * ``theta`` -- mean plus vec(covariance), symmetry-blind
 * ``gamma`` -- mean plus vech(covariance), symmetry-aware
 * ``alpha`` -- mean plus vec(precision), symmetry-blind ("hybrid")
 * ``beta``  -- mean plus vech(precision), symmetry-aware
 * ``eta``   -- natural parameters (prec @ mean, vec(precision))
+
+With ``M`` the tagged matrix, the FIM is blockdiag(prec, 1/2 M^-1 (x) M^-1)
+and its inverse blockdiag(cov, 2 M (x) M); a vech layout sandwiches the
+matrix block as D^T . D in the FIM and D+ . D+^T in the inverse. ``eta``
+is the one exception, twice over: its FIM is the alpha FIM sandwiched by
+the Jacobian d(alpha)/d(eta), and its inverse has its own closed form.
 
 Inverses come from closed forms, never from numerically inverting the
 FIM; numeric inversion is confined to test oracles.
@@ -21,8 +28,6 @@ comparing entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gaussian import NotPositiveDefiniteError, cov_of, mean_of, prec_of
@@ -30,7 +35,6 @@ from .kronmat import duplication, half_len, matf, vech
 
 __all__ = [
     "PARAM_TAGS",
-    "FisherInfo",
     "coord_dim",
     "fim",
     "fim_inverse",
@@ -40,30 +44,28 @@ __all__ = [
     "shrink_until_pd",
 ]
 
-PARAM_TAGS = ("theta", "gamma", "alpha", "beta", "eta")
+# tag -> (the matrix its coordinates hold, that matrix's layout)
+_PARAMS = {
+    "theta": ("cov", "vec"),
+    "gamma": ("cov", "vech"),
+    "alpha": ("prec", "vec"),
+    "beta": ("prec", "vech"),
+    "eta": ("prec", "vec"),
+}
 
-# tags whose matrix block uses the redundant vec layout
-_VEC_TAGS = ("theta", "alpha", "eta")
-
-
-@dataclass(frozen=True, eq=False)
-class FisherInfo:
-    """A FIM or inverse FIM tagged with its parameterization."""
-
-    tag: str
-    matrix: np.ndarray
-    inverse_flag: bool
+PARAM_TAGS = tuple(_PARAMS)
 
 
-def _check_tag(tag: str) -> None:
-    if tag not in PARAM_TAGS:
+def _param(tag: str) -> tuple[str, str]:
+    if tag not in _PARAMS:
         raise ValueError(f"unknown parameter tag {tag!r}; expected one of {PARAM_TAGS}")
+    return _PARAMS[tag]
 
 
 def coord_dim(tag: str, dim: int) -> int:
     """Length of the parameter vector for a given tag and Gaussian dimension."""
-    _check_tag(tag)
-    return dim + (dim * dim if tag in _VEC_TAGS else half_len(dim))
+    _, layout = _param(tag)
+    return dim + (dim * dim if layout == "vec" else half_len(dim))
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,6 +73,12 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
+
+
+def _kron_block(scale: float, m: np.ndarray, layout: str, left: np.ndarray) -> np.ndarray:
+    """scale (m (x) m), sandwiched as left . left^T for the vech layout."""
+    kernel = np.kron(m, m)
+    return scale * kernel if layout == "vec" else scale * left @ kernel @ left.T
 
 
 def _alpha_from_eta_jacobian(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -82,30 +90,20 @@ def _alpha_from_eta_jacobian(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def fim(g, tag: str) -> FisherInfo:
+def fim(g, tag: str) -> np.ndarray:
     """Closed-form Fisher information matrix for the tagged parameterization."""
-    _check_tag(tag)
+    which, layout = _param(tag)
     mu = mean_of(g)
     sigma = cov_of(g)
     prec = prec_of(g)
-    n = mu.shape[0]
-    if tag == "theta":
-        matrix = _block_diag(prec, 0.5 * np.kron(prec, prec))
-    elif tag == "gamma":
-        d = duplication(n).dup
-        matrix = _block_diag(prec, 0.5 * d.T @ np.kron(prec, prec) @ d)
-    elif tag == "alpha":
-        matrix = _block_diag(prec, 0.5 * np.kron(sigma, sigma))
-    elif tag == "beta":
-        d = duplication(n).dup
-        matrix = _block_diag(prec, 0.5 * d.T @ np.kron(sigma, sigma) @ d)
-    else:
+    inverse = prec if which == "cov" else sigma
+    left = duplication(mu.shape[0]).dup.T
+    matrix = _block_diag(prec, _kron_block(0.5, inverse, layout, left))
+    if tag == "eta":
         # Jacobian sandwich through the hybrid parameterization
         jac = _alpha_from_eta_jacobian(mu, sigma)
-        alpha_fim = _block_diag(prec, 0.5 * np.kron(sigma, sigma))
-        matrix = jac.T @ alpha_fim @ jac
-    matrix = 0.5 * (matrix + matrix.T)
-    return FisherInfo(tag, matrix, inverse_flag=False)
+        matrix = jac.T @ matrix @ jac
+    return 0.5 * (matrix + matrix.T)
 
 
 def _eta_fim_closed(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -120,35 +118,24 @@ def _eta_fim_closed(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def fim_inverse(g, tag: str) -> FisherInfo:
+def fim_inverse(g, tag: str) -> np.ndarray:
     """Closed-form inverse FIM; never obtained by inverting ``fim``."""
-    _check_tag(tag)
+    which, layout = _param(tag)
     mu = mean_of(g)
     sigma = cov_of(g)
     prec = prec_of(g)
-    n = mu.shape[0]
-    if tag == "theta":
-        matrix = _block_diag(sigma, 2.0 * np.kron(sigma, sigma))
-    elif tag == "gamma":
-        dp = duplication(n).pinv
-        matrix = _block_diag(sigma, 2.0 * dp @ np.kron(sigma, sigma) @ dp.T)
-    elif tag == "alpha":
-        matrix = _block_diag(sigma, 2.0 * np.kron(prec, prec))
-    elif tag == "beta":
-        dp = duplication(n).pinv
-        matrix = _block_diag(sigma, 2.0 * dp @ np.kron(prec, prec) @ dp.T)
-    else:
-        eye = np.eye(n)
+    if tag == "eta":
         prec_mu = prec @ mu
         top_left = (1.0 + 2.0 * float(mu @ prec_mu)) * prec
         top_right = 2.0 * np.kron(prec_mu[None, :], prec)
         bottom_left = 2.0 * np.kron(prec_mu[:, None], prec)
         bottom_right = 2.0 * np.kron(prec, prec)
-        matrix = np.vstack(
-            [np.hstack([top_left, top_right]), np.hstack([bottom_left, bottom_right])]
-        )
-    matrix = 0.5 * (matrix + matrix.T)
-    return FisherInfo(tag, matrix, inverse_flag=True)
+        matrix = np.vstack([np.hstack([top_left, top_right]), np.hstack([bottom_left, bottom_right])])
+    else:
+        m = sigma if which == "cov" else prec
+        left = duplication(mu.shape[0]).pinv
+        matrix = _block_diag(sigma, _kron_block(2.0, m, layout, left))
+    return 0.5 * (matrix + matrix.T)
 
 
 def reduce_to_unique(matrix: np.ndarray, tag: str, dim: int) -> np.ndarray:
@@ -159,27 +146,32 @@ def reduce_to_unique(matrix: np.ndarray, tag: str, dim: int) -> np.ndarray:
     only basis in which the KL Hessian is well defined (the covariance or
     precision can only be perturbed symmetrically).
     """
-    _check_tag(tag)
-    if tag not in _VEC_TAGS:
+    _, layout = _param(tag)
+    if layout == "vech":
         return matrix.copy()
-    n = dim
-    reducer = _block_diag(np.eye(n), duplication(n).dup)
+    reducer = _block_diag(np.eye(dim), duplication(dim).dup)
     return reducer.T @ matrix @ reducer
 
 
-def _pack_coords(g, tag: str) -> np.ndarray:
+def _coords(g, tag: str) -> np.ndarray:
+    """The tagged coordinate vector of ``g``."""
+    which, layout = _param(tag)
     mu = mean_of(g)
-    sigma = cov_of(g)
-    prec = prec_of(g)
-    if tag == "theta":
-        return np.concatenate([mu, sigma.reshape(-1, order="F")])
-    if tag == "gamma":
-        return np.concatenate([mu, vech(sigma)])
-    if tag == "alpha":
-        return np.concatenate([mu, prec.reshape(-1, order="F")])
-    if tag == "beta":
-        return np.concatenate([mu, vech(prec)])
-    return np.concatenate([prec @ mu, prec.reshape(-1, order="F")])
+    matrix = cov_of(g) if which == "cov" else prec_of(g)
+    head = matrix @ mu if tag == "eta" else mu
+    body = matrix.reshape(-1, order="F") if layout == "vec" else vech(matrix)
+    return np.concatenate([head, body])
+
+
+def _from_coords(c: np.ndarray, tag: str, n: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """(mean, matrix, which) read back from tagged coordinates, ``which``
+    naming the matrix as in ``_PARAMS``. A vec layout is reshaped, not
+    symmetrized, so that coordinates off the symmetric manifold stay off it."""
+    which, layout = _param(tag)
+    body = c[n:]
+    matrix = body.reshape((n, n), order="F") if layout == "vec" else matf(body, n).full()
+    mean = np.linalg.solve(matrix, c[:n]) if tag == "eta" else c[:n]
+    return mean, matrix, which
 
 
 def _kl_in_coords(g, tag: str):
@@ -188,53 +180,28 @@ def _kl_in_coords(g, tag: str):
     mu = mean_of(g)
     sigma = cov_of(g)
     n = mu.shape[0]
-    sign, logdet_sigma = np.linalg.slogdet(sigma)
+    _, logdet_sigma = np.linalg.slogdet(sigma)
 
-    def from_cov(mu2: np.ndarray, sigma2: np.ndarray) -> float:
-        s, logdet2 = np.linalg.slogdet(sigma2)
+    def kl(c: np.ndarray) -> float:
+        mu2, matrix, which = _from_coords(c, tag, n)
+        s, logdet2 = np.linalg.slogdet(matrix)
         if s <= 0:
-            raise NotPositiveDefiniteError("perturbed covariance lost positivity")
-        prec2 = np.linalg.inv(sigma2)
+            name = "covariance" if which == "cov" else "precision"
+            raise NotPositiveDefiniteError(f"perturbed {name} lost positivity")
+        if which == "cov":
+            prec2, logdet_prec2 = np.linalg.inv(matrix), -logdet2
+        else:
+            prec2, logdet_prec2 = matrix, logdet2
         delta = mu2 - mu
         return 0.5 * (
             float(np.trace(prec2 @ sigma))
             + float(delta @ prec2 @ delta)
             - n
-            + logdet2
+            - logdet_prec2
             - logdet_sigma
         )
 
-    def from_prec(mu2: np.ndarray, prec2: np.ndarray) -> float:
-        s, logdet2 = np.linalg.slogdet(prec2)
-        if s <= 0:
-            raise NotPositiveDefiniteError("perturbed precision lost positivity")
-        delta = mu2 - mu
-        return 0.5 * (
-            float(np.trace(prec2 @ sigma))
-            + float(delta @ prec2 @ delta)
-            - n
-            - logdet2
-            - logdet_sigma
-        )
-
-    if tag == "theta":
-        return lambda c: from_cov(c[:n], c[n:].reshape((n, n), order="F"))
-    if tag == "gamma":
-        return lambda c: from_cov(c[:n], matf(c[n:], n).full())
-    if tag == "alpha":
-        return lambda c: from_prec(c[:n], c[n:].reshape((n, n), order="F"))
-    if tag == "beta":
-        return lambda c: from_prec(c[:n], matf(c[n:], n).full())
-
-    def eta_fn(c: np.ndarray) -> float:
-        prec2 = c[n:].reshape((n, n), order="F")
-        s, _ = np.linalg.slogdet(prec2)
-        if s <= 0:
-            raise NotPositiveDefiniteError("perturbed precision lost positivity")
-        mu2 = np.linalg.solve(prec2, c[:n])
-        return from_prec(mu2, prec2)
-
-    return eta_fn
+    return kl
 
 
 def central_hessian(fn, x0: np.ndarray, h: float) -> np.ndarray:
@@ -277,11 +244,11 @@ def fd_kl_hessian(g, tag: str, step: float = 1e-3) -> np.ndarray:
     Perturbations that leave the positive-definite cone shrink the step
     geometrically (x 1/2, at most 8 times) before giving up.
     """
-    _check_tag(tag)
+    _param(tag)
     if step <= 0:
         raise ValueError("step must be positive")
     fn = _kl_in_coords(g, tag)
-    x0 = _pack_coords(g, tag)
+    x0 = _coords(g, tag)
 
     def estimate(h: float) -> np.ndarray:
         coarse = central_hessian(fn, x0, h)

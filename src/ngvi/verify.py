@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._testing import random_gaussian, random_spd, random_symmetric, random_well_conditioned
-from .factors import Factor, FactorGraph, optimize_factored
+from .factors import Factor, FactorGraph, _quadratic_phi, optimize_factored
 from .fim import (
     PARAM_TAGS,
+    _coords,
+    _from_coords,
     central_hessian,
     fd_kl_hessian,
     fim,
@@ -30,7 +32,7 @@ from .fim import (
     shrink_until_pd,
 )
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_of, prec_of
-from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec
+from .kronmat import SymmetricMatrix, duplication, half_len, kron, sym, vec
 from .ngd import NgdConfig, step_hybrid
 from .quadrature import ExpectationRule, expect_weighted, pointwise
 from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives
@@ -84,31 +86,27 @@ def _resid(a, b) -> float:
 
 
 def step_canonical(q: MeanCovariance, d: DerivativeBundle) -> MeanCovariance:
-    """One canonical (mean/covariance) natural-gradient step.
-
-    The covariance-side gradient is recovered from the bundle's precision
-    derivative via dV/dcov = -prec @ (dV/dprec) @ prec, and the update is
-    delta_cov = -2 cov @ (dV/dcov) @ cov. The result is revalidated as
-    positive definite; a failed validation is the step rejection.
+    """One canonical (mean/covariance) natural-gradient step: the theta
+    step, with the covariance-side gradient recovered from the bundle's
+    precision derivative via dV/dcov = -prec @ (dV/dprec) @ prec. The
+    result is revalidated as positive definite; a failed validation is the
+    step rejection.
     """
-    sigma = q.cov.full()
     prec = prec_of(q)
     grad_sigma = -prec @ d.grad_prec.full() @ prec
-    delta_mu = -sigma @ d.grad_mu
-    delta_sigma = -2.0 * sigma @ grad_sigma @ sigma
-    return MeanCovariance.from_dense(q.mean + delta_mu, sigma + delta_sigma)
+    return step_generic(q, "theta", np.concatenate([d.grad_mu, vec(grad_sigma)]))
 
 
 def natural_delta(q, tag: str, grad: np.ndarray) -> np.ndarray:
     """-(inverse FIM) @ grad in the tagged coordinate layout."""
-    info = fim_inverse(q, tag)
+    inverse = fim_inverse(q, tag)
     grad = np.asarray(grad, dtype=float).reshape(-1)
-    if grad.shape[0] != info.matrix.shape[0]:
+    if grad.shape[0] != inverse.shape[0]:
         raise ValueError(
             f"gradient length {grad.shape[0]} does not match the "
-            f"{tag} coordinate count {info.matrix.shape[0]}"
+            f"{tag} coordinate count {inverse.shape[0]}"
         )
-    return -(info.matrix @ grad)
+    return -(inverse @ grad)
 
 
 def step_generic(q, tag: str, grad: np.ndarray):
@@ -118,26 +116,12 @@ def step_generic(q, tag: str, grad: np.ndarray):
     theta and gamma, mean/precision for alpha and beta, natural form for
     eta.
     """
-    delta = natural_delta(q, tag, grad)
-    n = q.dim
-    mu = mean_of(q)
-    if tag in ("theta", "gamma"):
-        sigma = cov_of(q)
-        if tag == "theta":
-            sigma_new = sigma + delta[n:].reshape((n, n), order="F")
-        else:
-            sigma_new = sigma + matf(delta[n:], n).full()
-        return MeanCovariance.from_dense(mu + delta[:n], sigma_new)
-    prec = prec_of(q)
-    if tag in ("alpha", "beta"):
-        if tag == "alpha":
-            prec_new = prec + delta[n:].reshape((n, n), order="F")
-        else:
-            prec_new = prec + matf(delta[n:], n).full()
-        return MeanPrecision.from_dense(mu + delta[:n], prec_new)
-    eta1_new = prec @ mu + delta[:n]
-    prec_new = prec + delta[n:].reshape((n, n), order="F")
-    return NaturalForm(eta1_new, SymmetricMatrix.from_full(prec_new))
+    c = _coords(q, tag) + natural_delta(q, tag, grad)
+    mean, matrix, which = _from_coords(c, tag, q.dim)
+    if tag == "eta":
+        return NaturalForm(c[: q.dim], SymmetricMatrix.from_full(matrix))
+    native = MeanCovariance if which == "cov" else MeanPrecision
+    return native.from_dense(mean, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +240,7 @@ def fim_vs_fd_kl_hessian() -> list[CheckResult]:
     for tag in PARAM_TAGS:
         for n in (1, 2, 3):
             g = random_gaussian(n, rng)
-            closed = reduce_to_unique(fim(g, tag).matrix, tag, n)
+            closed = reduce_to_unique(fim(g, tag), tag, n)
             numeric = reduce_to_unique(fd_kl_hessian(g, tag, step=1e-3), tag, n)
             rel = float(np.linalg.norm(numeric - closed) / np.linalg.norm(closed))
             results.append(CheckResult(f"fim/{tag}/n{n}/fd_hessian", rel, 1e-4))
@@ -272,7 +256,7 @@ def fim_inverse_identity() -> list[CheckResult]:
             worst = 0.0
             for _ in range(50):
                 g = random_gaussian(n, rng)
-                product = fim_inverse(g, tag).matrix @ fim(g, tag).matrix
+                product = fim_inverse(g, tag) @ fim(g, tag)
                 worst = max(worst, _resid(product, np.eye(product.shape[0])))
             results.append(CheckResult(f"fim/{tag}/n{n}/inverse", worst, 1e-9))
     return results
@@ -291,8 +275,8 @@ def symmetry_equivalence() -> list[CheckResult]:
         blind = np.concatenate([grad_mu, vec(grad_matrix)])
         aware = np.concatenate([grad_mu, duplication(n).dup.T @ vec(grad_matrix)])
         for name, vec_tag, vech_tag in (("canonical", "theta", "gamma"), ("hybrid", "alpha", "beta")):
-            delta_blind = natural_delta(g, vec_tag, blind)[n:].reshape((n, n), order="F")
-            delta_aware = matf(natural_delta(g, vech_tag, aware)[n:], n).full()
+            _, delta_blind, _ = _from_coords(natural_delta(g, vec_tag, blind), vec_tag, n)
+            _, delta_aware, _ = _from_coords(natural_delta(g, vech_tag, aware), vech_tag, n)
             worst[name] = max(worst[name], _resid(delta_blind, delta_aware))
     return [CheckResult(f"ngd/equivalence/{name}", resid, 1e-10) for name, resid in worst.items()]
 
@@ -353,14 +337,6 @@ def derivative_relation() -> list[CheckResult]:
     ]
 
 
-def _quadratic(m: np.ndarray, p: np.ndarray):
-    def phi(x):
-        d = x - m
-        return float(0.5 * d @ p @ d)
-
-    return phi
-
-
 def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
     """Distance of one hybrid step from the closed-form posterior of a sum
     of ``terms`` quadratic terms."""
@@ -368,13 +344,13 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
     ps = [random_spd(n, rng) for _ in range(terms)]
     prec_post = sum(ps)
     mean_post = np.linalg.solve(prec_post, sum(p @ m for p, m in zip(ps, ms)))
-    quadratics = [_quadratic(m, p) for m, p in zip(ms, ps)]
+    quadratics = [_quadratic_phi(m, p) for m, p in zip(ms, ps)]
 
     def phi(x):
         return sum(q(x) for q in quadratics)
 
     q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
-    loss = LossFunctional(n, pointwise(phi))
+    loss = LossFunctional(n, phi)
     _, bundle = value_and_derivatives(loss, q0, ExpectationRule("gauss_hermite", 5))
     q1 = step_hybrid(q0, bundle)
     return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
@@ -419,9 +395,8 @@ def one_step_exactness() -> list[CheckResult]:
 
 
 def _fd_worst(phi, g, order: int) -> float:
-    report = fd_check(
-        LossFunctional(g.dim, pointwise(phi)), g, ExpectationRule("gauss_hermite", order)
-    )
+    """The largest ``fd_check`` error for the batched integrand ``phi``."""
+    report = fd_check(LossFunctional(g.dim, phi), g, ExpectationRule("gauss_hermite", order))
     return max(report.grad_mu_error, report.hess_mu_error, report.grad_prec_error)
 
 
@@ -431,8 +406,8 @@ def fd_derivatives() -> list[CheckResult]:
     rng = np.random.default_rng(109)
     # a random quadratic and a fixed one, each from a random start
     quadratics = [
-        _quadratic(rng.standard_normal(2), random_spd(2, rng)),
-        _quadratic(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.5]])),
+        _quadratic_phi(rng.standard_normal(2), random_spd(2, rng)),
+        _quadratic_phi(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.5]])),
     ]
     worst_quadratic = max(
         _fd_worst(q, MeanPrecision.from_dense(rng.standard_normal(2), random_spd(2, rng)), 5)
@@ -440,11 +415,11 @@ def fd_derivatives() -> list[CheckResult]:
     )
 
     def logistic(x):
-        t = 1.5 * float(x[0])
-        return float(np.logaddexp(0.0, t) - t)
+        t = 1.5 * x[:, 0]
+        return np.logaddexp(0.0, t) - t
 
     worst_logistic = _fd_worst(logistic, MeanPrecision.from_dense([0.3], [[2.0]]), 15)
-    worst_cosine = _fd_worst(lambda x: float(np.cos(x[0])), MeanPrecision.from_dense([0.4], [[1.8]]), 15)
+    worst_cosine = _fd_worst(lambda x: np.cos(x[:, 0]), MeanPrecision.from_dense([0.4], [[1.8]]), 15)
     return [
         CheckResult("deriv/fd/quadratic", worst_quadratic, 1e-5),
         CheckResult("deriv/fd/logistic", worst_logistic, 1e-4),

@@ -366,6 +366,22 @@ def test_negative_seed_override_exits_one(capsys, tmp_path, rule):
     assert not out.exists()
 
 
+def test_rule_kind_override_without_order_exits_one(capsys, tmp_path):
+    # the problem's Gauss-Hermite order 5 is no Monte Carlo sample count
+    out = tmp_path / "out"
+    assert main(["run", "logistic_1d", "-o", str(out), "--rule", "monte_carlo"]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rule_kind_override_with_order_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "logistic_1d", "-o", str(out), "--rule", "monte_carlo", "--order", "10000"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rule"]["kind"] == "monte_carlo"
+    assert manifest["rule"]["order"] == 10000
+
+
 def test_max_iters_exhaustion_exits_two(tmp_path):
     # logistic_1d needs ~11 iterations; 2 is not enough
     out = tmp_path / "out"
@@ -518,6 +534,7 @@ def _drop(path):
         pytest.param(_set(["rule", "seed"], -3), "'rule'", id="negative-seed"),
         pytest.param(_set(["rule"], {"kind": "monte_carlo", "order": 64, "seed": -3}), "'rule'", id="negative-mc-seed"),
         pytest.param(_set(["rule", "points"], 9), "'rule.points'", id="unknown-rule-key"),
+        pytest.param(_set(["rule"], {"kind": "monte_carlo", "seed": 0}), "'rule.order'", id="monte-carlo-without-order"),
         pytest.param(_set(["config", "tolerance"], 3), "'config.tolerance'", id="unknown-config-key"),
         pytest.param(_set(["confg"], {"max_iters": 2}), "'confg'", id="unknown-root-key"),
         pytest.param(_set(["init", "extra"], 1), "'init.extra'", id="unknown-init-key"),

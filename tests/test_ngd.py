@@ -65,7 +65,7 @@ def test_natural_delta_matches_explicit_inverse_product():
     rng = np.random.default_rng(0)
     for tag in ("theta", "gamma", "alpha", "beta", "eta"):
         g = random_gaussian(3, rng)
-        inv = fim_inverse(g, tag).matrix
+        inv = fim_inverse(g, tag)
         grad = rng.standard_normal(inv.shape[0])
         assert np.allclose(natural_delta(g, tag, grad), -(inv @ grad), atol=1e-13)
 
@@ -109,7 +109,7 @@ def test_symmetry_blind_and_aware_updates_agree():
 def test_step_generic_returns_native_forms():
     rng = np.random.default_rng(2)
     g = random_gaussian(2, rng)
-    zero = {tag: np.zeros(fim_inverse(g, tag).matrix.shape[0]) for tag in
+    zero = {tag: np.zeros(fim_inverse(g, tag).shape[0]) for tag in
             ("theta", "gamma", "alpha", "beta", "eta")}
     assert step_generic(g, "theta", zero["theta"]).form == "mean_cov"
     assert step_generic(g, "gamma", zero["gamma"]).form == "mean_cov"
@@ -122,7 +122,7 @@ def test_zero_gradient_is_fixed_point_for_all_tags():
     rng = np.random.default_rng(3)
     g = random_gaussian(2, rng)
     for tag in ("theta", "gamma", "alpha", "beta", "eta"):
-        grad = np.zeros(fim_inverse(g, tag).matrix.shape[0])
+        grad = np.zeros(fim_inverse(g, tag).shape[0])
         out = convert(step_generic(g, tag, grad), "mean_cov")
         assert np.allclose(out.mean, g.mean, atol=1e-12)
         assert np.allclose(out.cov.full(), g.cov.full(), atol=1e-12)
@@ -309,7 +309,7 @@ def test_predicted_decrease_matches_the_trace_formula():
                 ("alpha", np.concatenate([bundle.grad_mu, grad_prec])),
                 ("beta", np.concatenate([bundle.grad_mu, duplication(n).dup.T @ grad_prec])),
             ):
-                expected = float(-0.5 * g @ fim_inverse(q, tag).matrix @ g)
+                expected = float(-0.5 * g @ fim_inverse(q, tag) @ g)
                 assert abs(bundle.predicted_decrease - expected) <= 1e-12 * abs(expected)
             assert bundle.predicted_decrease <= 0.0
 
