@@ -34,6 +34,7 @@ from .gaussian import (
     MeanPrecision,
     NaturalForm,
     NotPositiveDefiniteError,
+    _singular,
     convert,
 )
 from .kronmat import AsymmetricMatrixError, SymmetricMatrix, check_symmetric, half_len
@@ -55,6 +56,8 @@ PHI_FIELDS = {
     "nonlinear_range": frozenset({"kind", "distance", "variance", "landmark"}),
     "polynomial": frozenset({"kind", "coefficients"}),
 }
+# the Gaussian form each ``init.form`` names
+_INIT_FORMS = {"mean_covariance": MeanCovariance, "mean_precision": MeanPrecision, "natural": NaturalForm}
 
 
 class ProblemError(ValueError):
@@ -267,21 +270,17 @@ def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
             f"field 'init.matrix_vech': length {half.shape[0]} != "
             f"{half_len(dimension)} for dimension {dimension}"
         )
-    matrix = SymmetricMatrix(dimension, half)
+    if not isinstance(form, str) or form not in _INIT_FORMS:
+        raise ProblemError(f"field 'init.form': unknown form {form!r}")
     try:
-        if form == "mean_covariance":
-            return convert(MeanCovariance(mean, matrix), "mean_prec")
-        if form == "mean_precision":
-            return MeanPrecision(mean, matrix)
-        if form == "natural":
-            return convert(NaturalForm(mean, matrix), "mean_prec")
+        g = _INIT_FORMS[form](mean, SymmetricMatrix(dimension, half))
+        # a matrix that passes its Cholesky factorization can still have
+        # no inverse to convert with or to take marginals from
+        if _singular(g.chol):
+            raise ProblemError("field 'init.matrix_vech': the matrix is numerically singular")
+        return convert(g, "mean_prec")
     except NotPositiveDefiniteError as exc:
         raise ProblemError(f"field 'init.matrix_vech': {exc}") from None
-    except np.linalg.LinAlgError:
-        # the matrix passes its Cholesky factorization but has no inverse
-        # to convert with
-        raise ProblemError("field 'init.matrix_vech': the matrix is numerically singular") from None
-    raise ProblemError(f"field 'init.form': unknown form {form!r}")
 
 
 def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
@@ -461,9 +460,12 @@ def parse_estimate(path: str) -> MeanPrecision:
     if not np.isfinite(mean).all():
         raise ProblemError(f"estimate file {path!r}: key 'mean' contains non-finite entries")
     try:
-        return MeanPrecision(mean, SymmetricMatrix(n, half))
+        q = MeanPrecision(mean, SymmetricMatrix(n, half))
     except ValueError as exc:
         raise ProblemError(f"estimate file {path!r}: key 'prec_vech': {exc}") from None
+    if _singular(q.chol):
+        raise ProblemError(f"estimate file {path!r}: key 'prec_vech': the matrix is numerically singular")
+    return q
 
 
 # ---------------------------------------------------------------------------

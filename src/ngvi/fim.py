@@ -40,6 +40,7 @@ __all__ = [
     "fim_inverse",
     "fd_kl_hessian",
     "reduce_to_unique",
+    "central_gradient",
     "central_hessian",
     "shrink_until_pd",
 ]
@@ -202,6 +203,11 @@ def _kl_in_coords(g, tag: str):
         )
 
     return kl
+
+
+def central_gradient(fn, x0: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of ``fn`` at ``x0`` with step ``h``."""
+    return np.array([(fn(x0 + e) - fn(x0 - e)) / (2.0 * h) for e in h * np.eye(x0.shape[0])])
 
 
 def central_hessian(fn, x0: np.ndarray, h: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kronmat import DimensionError, SymmetricMatrix
+from .kronmat import DimensionError, SymmetricMatrix, _vech_indices
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -74,10 +74,17 @@ def tril_inverse(chol: np.ndarray) -> np.ndarray:
     singular: its smallest squared pivot is at most machine epsilon times
     its largest.
     """
-    pivots = (chol.diagonal() ** 2).tolist()
-    if min(pivots) <= _EPS * max(pivots):
+    if _singular(chol):
         raise np.linalg.LinAlgError("Singular matrix")
     return _blocked_inverse(chol)
+
+
+def _singular(chol: np.ndarray) -> bool:
+    """True when ``L L^T``, for the lower Cholesky factor ``L``, is
+    numerically singular: its smallest squared pivot is at most machine
+    epsilon times its largest."""
+    pivots = (chol.diagonal() ** 2).tolist()
+    return min(pivots) <= _EPS * max(pivots)
 
 
 def _blocked_inverse(chol: np.ndarray) -> np.ndarray:
@@ -165,16 +172,17 @@ class MeanPrecision:
     def _from_factor(
         cls, mean, prec: np.ndarray, chol: np.ndarray, inv_chol: np.ndarray
     ) -> "MeanPrecision":
-        """The Gaussian with a dense, exactly symmetric precision whose lower
-        Cholesky factor and its inverse (``tril_inverse``) the caller has
-        already computed. All three are kept (``prec`` made read-only)
-        rather than expanded, factored and inverted again; the inverse
-        factor only until ``covariance`` is formed from it. Construction
-        still packs the half vector and checks the mean."""
+        """The Gaussian with a dense, exactly symmetric precision, whose
+        lower Cholesky factor and that factor's inverse ``W`` the caller has
+        computed. It keeps the precision (read-only) and the factor, packs
+        the lower triangle by index and stores the covariance ``W^T W``;
+        nothing is symmetrized, factored or inverted again."""
         prec.setflags(write=False)
+        cov = inv_chol.T @ inv_chol
+        cov.setflags(write=False)
         g = cls.__new__(cls)
-        vars(g).update(precision=prec, _chol=chol, _inv_chol=inv_chol)
-        g.__init__(mean, SymmetricMatrix.from_full(prec))
+        vars(g).update(precision=prec, covariance=cov, _chol=chol)
+        g.__init__(mean, SymmetricMatrix(prec.shape[0], prec[_vech_indices(prec.shape[0])]))
         return g
 
     @property
@@ -197,13 +205,11 @@ class MeanPrecision:
     @cached_property
     def covariance(self) -> np.ndarray:
         """Dense covariance ``W^T W``, for ``W`` the inverse of the
-        precision's Cholesky factor, formed once on first use and shared by
+        precision's Cholesky factor, formed once (by ``_from_factor`` for
+        a hybrid step's iterate, otherwise on first use) and shared by
         every later caller (read-only). Raises ``np.linalg.LinAlgError``
         for a numerically singular precision."""
-        inv_chol = vars(self).pop("_inv_chol", None)
-        if inv_chol is None:
-            inv_chol = tril_inverse(self._chol)
-        cov = inv_chol.T @ inv_chol
+        cov = _inverse_from_chol(self._chol)
         cov.setflags(write=False)
         return cov
 
@@ -227,9 +233,6 @@ class NaturalForm:
     @property
     def chol(self) -> np.ndarray:
         return self._chol
-
-
-GaussianDistribution = MeanCovariance | MeanPrecision | NaturalForm
 
 
 def mean_of(g) -> np.ndarray:

@@ -11,15 +11,14 @@ The precision assignment is never damped; ``step_scale`` applies to the
 mean change only. The one Cholesky factorization ``L`` of the new
 precision is its definiteness test; its inverse ``W = L^-1``
 (``gaussian.tril_inverse``) gives the mean change ``-W^T (W grad_mu)``
-and, when the next assembly reads it, the new covariance ``W^T W``, so
-no LU factorization runs in the iteration. Dense and factored
-assemblies hand the iteration the same ``vloss.DerivativeBundle``, and
-the step reads only its mean gradient and dense mean Hessian; the
-bundle's predicted decrease is built only when something reads it. A
-trace record holds the iteration, the loss value, the mean-gradient
-norm and whether the value did not increase. The canonical and generic
-inverse-FIM steps that the paper's evidence compares against live in
-``ngvi.verify``.
+and the new covariance ``W^T W``, so no LU runs in the iteration. The
+step reads only the mean gradient and the dense mean Hessian of the
+``vloss.DerivativeBundle`` that either assembly returns, and checks the
+Hessian where it enters: finite and exactly symmetric, so the new
+iterate packs its lower triangle by index. A trace record holds the
+iteration, the loss value, the mean-gradient norm and whether the value
+did not increase. The canonical and generic inverse-FIM steps that the
+paper's evidence compares against live in ``ngvi.verify``.
 """
 
 from __future__ import annotations
@@ -102,13 +101,15 @@ def _hybrid_step(
     bundle: the new precision, which is the bundle's mean Hessian plus
     ``jitter`` on its diagonal; the mean change against it; its lower
     Cholesky factor; and that factor's inverse. Raises ValueError on
-    non-finite entries and IndefiniteHessianError on an indefinite or
-    numerically singular precision."""
+    non-finite entries or a precision that is not exactly symmetric, and
+    IndefiniteHessianError on an indefinite or numerically singular one."""
     hess = d.hess
     if jitter:
         hess = hess + jitter * np.eye(hess.shape[0])
     if not np.isfinite(hess).all():
         raise ValueError("mean Hessian contains non-finite entries")
+    if (hess != hess.T).any():
+        raise ValueError("mean Hessian is not exactly symmetric")
     # the factorization is the definiteness test and the new iterate's
     # factor; its inverse W gives the mean step as two products
     try:
@@ -154,8 +155,8 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
     evaluates the bundle once, takes the step ``step_hybrid`` takes and
     computes only what the trace record and the next iterate read.
     Inside the loop the precision stays the dense array the bundle's
-    Hessian is; each new iterate keeps it, its Cholesky factor and that
-    factor's inverse, and packs it into a half vector once.
+    Hessian is; each new iterate keeps it, its Cholesky factor and the
+    covariance ``W^T W``, and packs its lower triangle by index.
     """
     q = convert(q0, "mean_prec")
     trace = IterationTrace()
@@ -183,9 +184,6 @@ def iterate_hybrid(eval_fn, q0, cfg: NgdConfig) -> tuple[MeanPrecision, Iteratio
         if k == cfg.max_iters:
             break
         q = MeanPrecision._from_factor(q.mean + cfg.step_scale * delta_mu, hess, chol, inv_chol)
-        # the iterate alone holds the inverse factor, until its covariance
-        # is formed from it
-        del inv_chol
         prev_value = value_k
     return q, trace
 

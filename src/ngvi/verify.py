@@ -24,6 +24,7 @@ from .fim import (
     PARAM_TAGS,
     _coords,
     _from_coords,
+    central_gradient,
     central_hessian,
     fd_kl_hessian,
     fim,
@@ -32,9 +33,9 @@ from .fim import (
     shrink_until_pd,
 )
 from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_of, prec_of
-from .kronmat import SymmetricMatrix, duplication, half_len, kron, sym, vec
+from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec, vech
 from .ngd import NgdConfig, step_hybrid
-from .quadrature import ExpectationRule, expect_weighted, pointwise
+from .quadrature import ExpectationRule, default_rule, expect_weighted, pointwise
 from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives
 
 __all__ = [
@@ -136,50 +137,31 @@ def _rel_err(found: np.ndarray, expected: np.ndarray) -> float:
 def fd_check(loss: LossFunctional, q, rule: ExpectationRule, step: float = 1e-5) -> FdReport:
     """Validate the derivative bundle against finite differences of ``value``.
 
-    The precision check perturbs entries (i, j) and (j, i) together, so an
-    off-diagonal difference quotient equals twice the symmetric-matrix
-    derivative entry while a diagonal one matches it directly.
+    The precision is differenced in its half-vector coordinates, where
+    moving entry (i, j) moves (j, i) with it. Expanded with ``matf``,
+    those difference quotients are ``sym`` of the symmetric-matrix
+    derivative: its diagonal, and twice each off-diagonal entry.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     n = q.dim
     mu = mean_of(q)
-    prec = prec_of(q)
+    half = vech(prec_of(q))
     _, bundle = value_and_derivatives(loss, q, rule)
 
-    def val(mu2: np.ndarray, prec2: np.ndarray) -> float:
-        return value(loss, MeanPrecision.from_dense(mu2, prec2), rule)
+    def val(mu2: np.ndarray, half2: np.ndarray) -> float:
+        return value(loss, MeanPrecision(mu2, matf(half2, n)), rule)
 
-    # first derivative over the mean
-    grad_fd = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        grad_fd[i] = (val(mu + e, prec) - val(mu - e, prec)) / (2.0 * step)
-
+    grad_fd = central_gradient(lambda mu2: val(mu2, half), mu, step)
     # second differences need a larger step to beat roundoff
-    hess_fd = central_hessian(lambda mu2: val(mu2, prec), mu, max(step, 1e-3))
-
-    # precision derivative over unique entries, symmetric pair perturbation
-    prec_fd = np.zeros((n, n))
-    expected_prec = np.zeros((n, n))
-    grad_prec = bundle.grad_prec.full()
-    for j in range(n):
-        for i in range(j, n):
-            pert = np.zeros((n, n))
-            pert[i, j] = pert[j, i] = 1.0
-            prec_fd[i, j] = prec_fd[j, i] = shrink_until_pd(
-                lambda h: (val(mu, prec + h * pert) - val(mu, prec - h * pert)) / (2.0 * h),
-                step,
-                "precision difference",
-            )
-            factor = 1.0 if i == j else 2.0
-            expected_prec[i, j] = expected_prec[j, i] = factor * grad_prec[i, j]
-
+    hess_fd = central_hessian(lambda mu2: val(mu2, half), mu, max(step, 1e-3))
+    prec_fd = shrink_until_pd(
+        lambda h: central_gradient(lambda half2: val(mu, half2), half, h), step, "precision difference"
+    )
     return FdReport(
         grad_mu_error=_rel_err(grad_fd, bundle.grad_mu),
         hess_mu_error=_rel_err(hess_fd, bundle.hess_mu.full()),
-        grad_prec_error=_rel_err(prec_fd, expected_prec),
+        grad_prec_error=_rel_err(matf(prec_fd, n).full(), sym(bundle.grad_prec.full())),
         step=step,
     )
 
@@ -339,7 +321,7 @@ def derivative_relation() -> list[CheckResult]:
 
 def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
     """Distance of one hybrid step from the closed-form posterior of a sum
-    of ``terms`` quadratic terms."""
+    of ``terms`` quadratic terms, swept by the default rule for ``n``."""
     ms = [rng.standard_normal(n) for _ in range(terms)]
     ps = [random_spd(n, rng) for _ in range(terms)]
     prec_post = sum(ps)
@@ -351,7 +333,7 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
 
     q0 = MeanPrecision.from_dense(rng.standard_normal(n), random_spd(n, rng))
     loss = LossFunctional(n, phi)
-    _, bundle = value_and_derivatives(loss, q0, ExpectationRule("gauss_hermite", 5))
+    _, bundle = value_and_derivatives(loss, q0, default_rule(n))
     q1 = step_hybrid(q0, bundle)
     return max(_resid(q1.mean, mean_post), _resid(q1.prec.full(), prec_post))
 
@@ -382,7 +364,8 @@ def _factored_one_step_residual(rng: np.random.Generator, n: int) -> float:
 
 def one_step_exactness() -> list[CheckResult]:
     """Criterion 6: one hybrid step from any start lands on the exact
-    posterior of a linear-Gaussian problem, dense or factored."""
+    posterior of a linear-Gaussian problem, dense or factored, and at the
+    arities where the default rule is Gauss-Hermite of order 3."""
     rng = np.random.default_rng(106)
     summed = max(_one_step_residual(rng, int(rng.integers(1, 5)), 3) for _ in range(10))
     single = _one_step_residual(rng, 3, 1)
@@ -391,7 +374,7 @@ def one_step_exactness() -> list[CheckResult]:
         CheckResult("ngd/one_step/summed_quadratic", summed, 1e-10),
         CheckResult("ngd/one_step/quadratic", single, 1e-10),
         CheckResult("ngd/one_step/factored_quadratic", factored, 1e-10),
-    ]
+    ] + [CheckResult(f"ngd/one_step/arity{n}", _one_step_residual(rng, n, 1), 1e-10) for n in (7, 8, 10)]
 
 
 def _fd_worst(phi, g, order: int) -> float:

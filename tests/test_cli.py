@@ -190,7 +190,8 @@ def test_invalid_json_exits_one(tmp_path, capsys):
 
 def test_indefinite_marginal_names_factor(tmp_path, capsys, monkeypatch):
     # The initial precision passes its Cholesky, but its squared pivot
-    # ratio is 5.7e-17, below eps: it is numerically singular and refused.
+    # ratio is 5.7e-17, below eps: it is numerically singular, and the
+    # parser refuses it by field.
     a, b, c = 3.8873945481944796, 2.5281465849980265, 1.6441668258771829
     quad = {"kind": "gaussian_quadratic", "m": [0.0], "P": [[1.0]]}
     raw = {
@@ -207,9 +208,7 @@ def test_indefinite_marginal_names_factor(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "error: the iterate's precision is singular: it has a Cholesky factor but no inverse\n"
-    )
+    assert capsys.readouterr().err == "error: field 'init.matrix_vech': the matrix is numerically singular\n"
     # W^T W cannot make a negative variance, so one is injected into every
     # iterate: the run names the first factor whose marginal fails
     monkeypatch.setattr(MeanPrecision, "covariance", property(lambda q: np.diag([1.0, -1e-3])))
@@ -255,9 +254,10 @@ def test_init_forms_parse_to_the_same_start():
         q = parse_problem(raw).init
         assert np.max(np.abs(q.mean - mu)) <= 1e-12, form
         assert np.max(np.abs(q.prec.full() - prec)) <= 1e-12, form
-    raw["init"]["form"] = "cholesky"
-    with pytest.raises(ProblemError, match="field 'init.form'"):
-        parse_problem(raw)
+    for form in ("cholesky", ["mean_precision"]):
+        raw["init"]["form"] = form
+        with pytest.raises(ProblemError, match="field 'init.form'"):
+            parse_problem(raw)
 
 
 def test_parse_estimate_requires_the_precision(tmp_path):
@@ -296,8 +296,16 @@ def test_init_covariance_without_inverse_names_the_field():
         ("mean 0.5 -0.25\nprec_vech 1 2 1\n", "key 'prec_vech': precision is not positive definite"),
         ("mean 0.5 nan\nprec_vech 1 0 1\n", "key 'mean' contains non-finite entries"),
         ("mean 0.5 -0.25\nprec_vech 1 inf 1\n", "key 'prec_vech': half vector contains non-finite entries"),
+        ("mean 0.5 -0.25\nprec_vech 1 0 1e-17\n", "key 'prec_vech': the matrix is numerically singular"),
     ],
-    ids=["non-numeric-token", "short-prec-vech", "indefinite-prec-vech", "nan-mean", "inf-prec-vech"],
+    ids=[
+        "non-numeric-token",
+        "short-prec-vech",
+        "indefinite-prec-vech",
+        "nan-mean",
+        "inf-prec-vech",
+        "singular-prec-vech",
+    ],
 )
 def test_parse_estimate_names_the_file_and_key(tmp_path, lines, message):
     path = tmp_path / "estimate.txt"
@@ -329,7 +337,8 @@ def test_output_write_failure_exits_one(tmp_path, capsys, monkeypatch):
 def test_singular_iterate_precision_is_named(tmp_path, capsys):
     # [[2, 1], [1, 0.5]] is singular. Its Cholesky factorization passes:
     # fl(1 / fl(sqrt 2))^2 < 0.5 leaves a positive pivot, with or without
-    # FMA, but its squared pivot ratio, 5.6e-17, is below eps.
+    # FMA, but its squared pivot ratio, 5.6e-17, is below eps, and the
+    # parser refuses it by field.
     quad = {"kind": "gaussian_quadratic", "m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}
     raw = {
         "schema": "ngvi-problem/1",
@@ -348,9 +357,7 @@ def test_singular_iterate_precision_is_named(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "error: the iterate's precision is singular: it has a Cholesky factor but no inverse\n"
-    )
+    assert capsys.readouterr().err == "error: field 'init.matrix_vech': the matrix is numerically singular\n"
 
 
 def test_zero_max_iters_override_exits_one(capsys, tmp_path):

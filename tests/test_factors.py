@@ -27,7 +27,7 @@ from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
     IntegrandShapeError,
-    _gh_grid,
+    _gh_table,
     expect_weighted,
     pointwise,
 )
@@ -565,7 +565,7 @@ def per_point_error(q, f, rule):
     per-point loop that the batched sweep replaced."""
     idx = list(f.indices)
     chol = np.linalg.cholesky(q.covariance[np.ix_(idx, idx)])
-    nodes, _ = _gh_grid(rule.order, len(idx))
+    nodes, _ = _gh_table(rule.order, len(idx))[:2]
     for x in q.mean[idx] + nodes @ chol.T:
         value = f.local_phi(x[None])[0]
         if not np.isfinite(value):

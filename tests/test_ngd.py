@@ -14,6 +14,7 @@ from ngvi.ngd import (
     ConfigError,
     IndefiniteHessianError,
     NgdConfig,
+    _hybrid_step,
     iterate_hybrid,
     optimize,
     step_hybrid,
@@ -221,6 +222,17 @@ def test_step_hybrid_refuses_a_non_finite_hessian(entry):
         step_hybrid(q, bundle)
 
 
+def test_step_hybrid_refuses_a_hessian_that_is_not_exactly_symmetric():
+    # both assemblies build the Hessian exactly symmetric; the step checks
+    # that where it enters, since the new iterate packs its lower triangle
+    hess = np.array([[2.0, 0.5], [0.5, 2.0]])
+    hess[0, 1] += 1e-15
+    assert hess[0, 1] != hess[1, 0]
+    bundle = DerivativeBundle(np.zeros(2), hess, np.eye(2))
+    with pytest.raises(ValueError, match="mean Hessian is not exactly symmetric"):
+        _hybrid_step(bundle, 0.0)
+
+
 def test_step_hybrid_jitter_rescues_indefinite_hessian():
     q = MeanPrecision.from_dense([0.0], [[1.0]])
     bundle = DerivativeBundle(np.array([1.0]), np.array([[-0.5]]), np.array([[1.0]]))
@@ -342,13 +354,15 @@ def test_factored_run_inverts_one_dense_precision_per_iteration(monkeypatch):
 
 def test_factored_run_factors_and_packs_each_precision_once(monkeypatch):
     # one n x n Cholesky per iteration, the definiteness test, whose factor
-    # the next iterate keeps; one packing per new iterate, and none for the
-    # precision derivative, which the step does not read
+    # the next iterate keeps; one packing per new iterate, by index, with
+    # no tolerance check or symmetrization of the precision (from_full),
+    # and none for the precision derivative, which the step does not read
     spec = load_problem("linear_chain")
     n = spec.dimension
-    factorizations, packings = [], []
+    factorizations, packings, checked = [], [], []
     cholesky = np.linalg.cholesky
     from_full = SymmetricMatrix.__dict__["from_full"].__func__
+    post_init = SymmetricMatrix.__post_init__
 
     def counted_cholesky(a):
         if np.shape(a) == (n, n):
@@ -357,16 +371,23 @@ def test_factored_run_factors_and_packs_each_precision_once(monkeypatch):
 
     def counted_from_full(cls, a, *args, **kwargs):
         if np.shape(a) == (n, n):
-            packings.append(1)
+            checked.append(1)
         return from_full(cls, a, *args, **kwargs)
+
+    def counted_post_init(self):
+        if self.dim == n:
+            packings.append(1)
+        post_init(self)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(SymmetricMatrix, "from_full", classmethod(counted_from_full))
+    monkeypatch.setattr(SymmetricMatrix, "__post_init__", counted_post_init)
     _, trace = optimize_factored(spec.graph, spec.init, spec.config)
     iterations = len(trace.records)
     assert trace.converged and iterations >= 2
     assert len(factorizations) == iterations
-    assert len(packings) <= iterations - 1
+    assert len(packings) == iterations - 1
+    assert checked == []
     with pytest.raises(AsymmetricMatrixError):
         SymmetricMatrix.from_full(np.array([[1.0, 0.5], [0.0, 1.0]]))
 

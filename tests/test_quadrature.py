@@ -12,7 +12,7 @@ from ngvi.quadrature import (
     EvaluationError,
     ExpectationRule,
     IntegrandShapeError,
-    _gh_grid,
+    _gh_table,
     default_rule,
     expect_scalar,
     expect_weighted,
@@ -36,8 +36,10 @@ def test_rule_validation():
 
 
 def test_default_rule_switches_to_monte_carlo():
-    assert default_rule(6).kind == "gauss_hermite"
-    assert default_rule(7).kind == "monte_carlo"
+    assert default_rule(6) == ExpectationRule("gauss_hermite", 5)
+    assert default_rule(7) == ExpectationRule("gauss_hermite", 3)
+    assert default_rule(10) == ExpectationRule("gauss_hermite", 3)
+    assert default_rule(11).kind == "monte_carlo"
 
 
 def test_point_budget_enforced():
@@ -209,7 +211,7 @@ def test_stacked_nonfinite_value_reports_first_integrand_then_point():
     rule = ExpectationRule("gauss_hermite", 5)
     with pytest.raises(EvaluationError) as excinfo:
         expect_weighted(rule, (means, chols), [fine, bad, pointwise(lambda x: np.nan)])
-    nodes, _ = _gh_grid(5, 2)
+    nodes, _ = _gh_table(5, 2)[:2]
     points = means[1] + nodes @ chols[1].T
     first = points[np.flatnonzero(points[:, 0] > means[1, 0])[0]]
     assert str(excinfo.value) == f"integrand returned {np.float64(np.inf)!r} at node {first.tolist()}"
@@ -224,7 +226,7 @@ def offset_moments(rule, means, chols, fs):
     if rule.kind == "monte_carlo":
         z, weights = _standard_draws(rule.order, d, rule.seed), np.full(rule.order, 1.0 / rule.order)
     else:
-        z, weights = _gh_grid(rule.order, d)
+        z, weights = _gh_table(rule.order, d)[:2]
     offsets = z @ np.swapaxes(chols, -1, -2)
     values = np.stack([f(m + off) for f, m, off in zip(fs, means, offsets)])
     weighted = values * weights
