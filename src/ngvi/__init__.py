@@ -2,7 +2,7 @@
 
 from .factors import Factor, FactorGraph, assemble, extract_marginal, optimize_factored
 from .fim import fd_kl_hessian, fim, fim_inverse
-from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, convert, kl, log_pdf, sample
+from .gaussian import MeanCovariance, MeanPrecision, convert, kl, log_pdf, sample
 from .kronmat import SymmetricMatrix, duplication, kron, mat, matf, sym, vec, vech
 from .ngd import NgdConfig, optimize, step_hybrid
 from .quadrature import ExpectationRule, expect_scalar, expect_weighted, pointwise
@@ -20,7 +20,6 @@ __all__ = [
     "fim_inverse",
     "MeanCovariance",
     "MeanPrecision",
-    "NaturalForm",
     "convert",
     "kl",
     "log_pdf",

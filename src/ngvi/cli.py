@@ -32,7 +32,6 @@ from .factors import Factor, FactorGraph, SparsityError, _quadratic_phi, optimiz
 from .gaussian import (
     MeanCovariance,
     MeanPrecision,
-    NaturalForm,
     NotPositiveDefiniteError,
     _singular,
     convert,
@@ -56,8 +55,8 @@ PHI_FIELDS = {
     "nonlinear_range": frozenset({"kind", "distance", "variance", "landmark"}),
     "polynomial": frozenset({"kind", "coefficients"}),
 }
-# the Gaussian form each ``init.form`` names
-_INIT_FORMS = {"mean_covariance": MeanCovariance, "mean_precision": MeanPrecision, "natural": NaturalForm}
+# the form each ``init.form`` is read into; ``natural`` holds (prec @ mean, prec)
+_INIT_FORMS = {"mean_covariance": MeanCovariance, "mean_precision": MeanPrecision, "natural": MeanPrecision}
 
 
 class ProblemError(ValueError):
@@ -278,6 +277,8 @@ def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
         # no inverse to convert with or to take marginals from
         if _singular(g.chol):
             raise ProblemError("field 'init.matrix_vech': the matrix is numerically singular")
+        if form == "natural":
+            return MeanPrecision(np.linalg.solve(g.precision, g.mean), g.prec)
         return convert(g, "mean_prec")
     except NotPositiveDefiniteError as exc:
         raise ProblemError(f"field 'init.matrix_vech': {exc}") from None
@@ -290,6 +291,9 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         raise ProblemError(
             f"field 'schema': expected {SCHEMA!r}, found {raw.get('schema')!r}"
         )
+    name = raw.get("name", name)
+    if type(name) is not str or not name:
+        raise ProblemError(f"field 'name' must be a nonempty string, found {name!r}")
     if "dimension" not in raw:
         raise ProblemError("field 'dimension' is missing")
     dimension = _integer(raw["dimension"], "field 'dimension'")
@@ -302,6 +306,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     if not isinstance(entries, list):
         raise ProblemError(f"field 'factors' must be a JSON array, found {type(entries).__name__}")
     factors = []
+    positions = {}  # factor id -> its position in 'factors'
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
@@ -311,6 +316,11 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
             raise ProblemError(
                 f"field 'factors[{position}].id' must be a nonempty string, found {factor_id!r}"
             )
+        if factor_id in positions:
+            raise ProblemError(
+                f"field 'factors[{position}].id': {factor_id!r} repeats factors[{positions[factor_id]}]"
+            )
+        positions[factor_id] = position
         indices = entry.get("indices", [])
         if type(indices) is not list or not set(map(type, indices)) <= {int}:
             raise ProblemError(
@@ -368,7 +378,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         raise ProblemError(f"field 'config': {exc}") from None
 
     return ProblemSpec(
-        name=raw.get("name", name),
+        name=name,
         dimension=dimension,
         init=init,
         graph=graph,
@@ -433,25 +443,43 @@ def write_estimate(path: str, q: MeanPrecision) -> None:
 
 
 def parse_estimate(path: str) -> MeanPrecision:
-    mean = None
-    half = None
+    """The estimate ``write_estimate`` wrote: the schema line, the
+    dimension line, then ``mean`` and ``prec_vech`` once each. Blank lines
+    are skipped; anything else is refused with the file and key named."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            try:
-                values = np.array([float(tok) for tok in rest.split()])
-            except ValueError as exc:
-                raise ProblemError(f"estimate file {path!r}: key {key!r}: {exc}") from None
-            if key == "mean":
-                mean = values
-            elif key == "prec_vech":
-                half = values
-    if mean is None or half is None:
+        lines = [line.strip() for line in handle if not line.isspace()]
+    schema, dimension = (lines + ["", ""])[:2]
+    if schema != f"# {ESTIMATE_SCHEMA}":
+        raise ProblemError(
+            f"estimate file {path!r}: key 'schema': expected '# {ESTIMATE_SCHEMA}' "
+            f"as the first line, found {schema!r}"
+        )
+    if not dimension.startswith("# dimension "):
+        raise ProblemError(
+            f"estimate file {path!r}: key 'dimension': expected '# dimension n' "
+            f"as the second line, found {dimension!r}"
+        )
+    values = {}
+    for line in lines[2:]:
+        key, _, rest = line.partition(" ")
+        if key not in ("mean", "prec_vech"):
+            raise ProblemError(
+                f"estimate file {path!r}: key {key!r} is unknown; expected 'mean' or 'prec_vech'"
+            )
+        if key in values:
+            raise ProblemError(f"estimate file {path!r}: key {key!r} is repeated")
+        try:
+            values[key] = np.array([float(tok) for tok in rest.split()])
+        except ValueError as exc:
+            raise ProblemError(f"estimate file {path!r}: key {key!r}: {exc}") from None
+    if len(values) < 2:
         raise ProblemError(f"estimate file {path!r} is missing mean or prec_vech")
+    mean, half = values["mean"], values["prec_vech"]
     n = mean.shape[0]
+    if dimension != f"# dimension {n}":
+        raise ProblemError(
+            f"estimate file {path!r}: key 'dimension': {dimension!r} disagrees with the mean's length {n}"
+        )
     if half.shape[0] != half_len(n):
         raise ProblemError(
             f"estimate file {path!r}: key 'prec_vech' has {half.shape[0]} values, "

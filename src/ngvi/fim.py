@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import NotPositiveDefiniteError, cov_of, mean_of, prec_of
+from .gaussian import NotPositiveDefiniteError, cov_of, prec_of
 from .kronmat import duplication, half_len, matf, vech
 
 __all__ = [
@@ -94,7 +94,7 @@ def _alpha_from_eta_jacobian(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def fim(g, tag: str) -> np.ndarray:
     """Closed-form Fisher information matrix for the tagged parameterization."""
     which, layout = _param(tag)
-    mu = mean_of(g)
+    mu = g.mean
     sigma = cov_of(g)
     prec = prec_of(g)
     inverse = prec if which == "cov" else sigma
@@ -122,7 +122,7 @@ def _eta_fim_closed(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def fim_inverse(g, tag: str) -> np.ndarray:
     """Closed-form inverse FIM; never obtained by inverting ``fim``."""
     which, layout = _param(tag)
-    mu = mean_of(g)
+    mu = g.mean
     sigma = cov_of(g)
     prec = prec_of(g)
     if tag == "eta":
@@ -157,7 +157,7 @@ def reduce_to_unique(matrix: np.ndarray, tag: str, dim: int) -> np.ndarray:
 def _coords(g, tag: str) -> np.ndarray:
     """The tagged coordinate vector of ``g``."""
     which, layout = _param(tag)
-    mu = mean_of(g)
+    mu = g.mean
     matrix = cov_of(g) if which == "cov" else prec_of(g)
     head = matrix @ mu if tag == "eta" else mu
     body = matrix.reshape(-1, order="F") if layout == "vec" else vech(matrix)
@@ -178,7 +178,7 @@ def _from_coords(c: np.ndarray, tag: str, n: int) -> tuple[np.ndarray, np.ndarra
 def _kl_in_coords(g, tag: str):
     """KL(g || q') as a function of q' coordinates; analytic extension off
     the symmetric manifold for the vec-layout tags."""
-    mu = mean_of(g)
+    mu = g.mean
     sigma = cov_of(g)
     n = mu.shape[0]
     _, logdet_sigma = np.linalg.slogdet(sigma)

@@ -1,9 +1,10 @@
-"""Gaussian distributions in three interchangeable forms.
+"""Gaussian distributions in two interchangeable forms.
 
-Mean/covariance, mean/precision, and the natural (inverse covariance)
-form, with conversions, log-density, KL divergence, and sampling.
-Positive definiteness is validated once at construction via Cholesky;
-log-determinants come from the cached factor's pivots.
+Mean/covariance and mean/precision, with conversions, log-density, KL
+divergence, and sampling; the natural parameters (prec @ mean, prec) are
+the ``eta`` coordinates of ``ngvi.fim``. Positive definiteness is
+validated once at construction via Cholesky; log-determinants come from
+the cached factor's pivots.
 
 A form's matrix is inverted through its cached factor, never by LU:
 with ``W = L^-1`` the inverse of the lower-triangular factor ``L``
@@ -29,19 +30,17 @@ __all__ = [
     "NotPositiveDefiniteError",
     "MeanCovariance",
     "MeanPrecision",
-    "NaturalForm",
     "FORM_TAGS",
     "convert",
     "log_pdf",
     "kl",
     "sample",
-    "mean_of",
     "cov_of",
     "prec_of",
     "tril_inverse",
 ]
 
-FORM_TAGS = ("mean_cov", "mean_prec", "natural")
+FORM_TAGS = ("mean_cov", "mean_prec")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _EPS = float(np.finfo(float).eps)
@@ -214,65 +213,31 @@ class MeanPrecision:
         return cov
 
 
-@dataclass(frozen=True, eq=False)
-class NaturalForm:
-    """Natural parameters: eta1 = prec @ mean, eta2 = prec."""
-
-    eta1: np.ndarray
-    eta2: SymmetricMatrix
-    form: ClassVar[str] = "natural"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta1", _check_mean(self.eta1, self.eta2))
-        object.__setattr__(self, "_chol", _chol(self.eta2.full(), "precision"))
-
-    @property
-    def dim(self) -> int:
-        return self.eta2.dim
-
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
-
-
-def mean_of(g) -> np.ndarray:
-    if isinstance(g, NaturalForm):
-        return np.linalg.solve(g.eta2.full(), g.eta1)
-    return g.mean.copy()
-
-
 def cov_of(g) -> np.ndarray:
-    """Dense covariance of any form; for a MeanPrecision, its shared
+    """Dense covariance of either form; for a MeanPrecision, its shared
     read-only ``covariance``."""
     if isinstance(g, MeanCovariance):
         return g.cov.full()
-    if isinstance(g, MeanPrecision):
-        return g.covariance
-    return _inverse_from_chol(g.chol)
+    return g.covariance
 
 
 def prec_of(g) -> np.ndarray:
-    """Dense precision of any form; for a MeanPrecision, its shared
+    """Dense precision of either form; for a MeanPrecision, its shared
     read-only ``precision``."""
     if isinstance(g, MeanPrecision):
         return g.precision
-    if isinstance(g, NaturalForm):
-        return g.eta2.full()
     return _inverse_from_chol(g.chol)
 
 
 def convert(g, target: str):
-    """Convert between the three forms; round trips recover the input."""
+    """Convert between the two forms; round trips recover the input."""
     if target not in FORM_TAGS:
         raise ValueError(f"unknown form tag {target!r}; expected one of {FORM_TAGS}")
     if g.form == target:
         return g
     if target == "mean_cov":
-        return MeanCovariance.from_dense(mean_of(g), cov_of(g))
-    if target == "mean_prec":
-        return MeanPrecision.from_dense(mean_of(g), prec_of(g))
-    prec = prec_of(g)
-    return NaturalForm(prec @ mean_of(g), SymmetricMatrix.from_full(prec))
+        return MeanCovariance.from_dense(g.mean.copy(), cov_of(g))
+    return MeanPrecision.from_dense(g.mean.copy(), prec_of(g))
 
 
 def log_pdf(g, x):
@@ -286,7 +251,7 @@ def log_pdf(g, x):
     n = g.dim
     if points.shape[1] != n:
         raise DimensionError(f"point has length {points.shape[1]}, expected {n}")
-    delta = points - mean_of(g)
+    delta = points - g.mean
     if isinstance(g, MeanCovariance):
         w = np.linalg.solve(g.chol, delta.T)
         logdet_cov = _logdet_from_chol(g.chol)
@@ -324,11 +289,11 @@ def sample(g, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return _draw(mean_of(g), _cov_chol(g), count, seed)
+    return _draw(g.mean, _cov_chol(g), count, seed)
 
 
 def _cov_chol(g) -> np.ndarray:
-    """Lower Cholesky factor of the covariance of any form."""
+    """Lower Cholesky factor of the covariance of either form."""
     if isinstance(g, MeanCovariance):
         return g.chol
     return _chol(cov_of(g), "covariance")

@@ -39,7 +39,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import gaussian
-from .gaussian import mean_of
 
 __all__ = [
     "POINT_BUDGET",
@@ -110,10 +109,10 @@ def default_rule(dim: int) -> ExpectationRule:
 
 def _mean_and_chol(g) -> tuple[np.ndarray, np.ndarray]:
     """Mean and lower Cholesky factor of the covariance of ``g``: a Gaussian
-    in any form, or such a (mean, factor) pair passed through as is."""
+    in either form, or such a (mean, factor) pair passed through as is."""
     if isinstance(g, tuple):
         return g
-    return mean_of(g), gaussian._cov_chol(g)
+    return g.mean, gaussian._cov_chol(g)
 
 
 def _n_points(rule: ExpectationRule, dim: int) -> int:

@@ -32,8 +32,8 @@ from .fim import (
     reduce_to_unique,
     shrink_until_pd,
 )
-from .gaussian import MeanCovariance, MeanPrecision, NaturalForm, cov_of, mean_of, prec_of
-from .kronmat import SymmetricMatrix, duplication, half_len, kron, matf, sym, vec, vech
+from .gaussian import MeanCovariance, MeanPrecision, cov_of, prec_of
+from .kronmat import duplication, half_len, kron, matf, sym, vec, vech
 from .ngd import NgdConfig, step_hybrid
 from .quadrature import ExpectationRule, default_rule, expect_weighted, pointwise
 from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives
@@ -113,14 +113,12 @@ def natural_delta(q, tag: str, grad: np.ndarray) -> np.ndarray:
 def step_generic(q, tag: str, grad: np.ndarray):
     """Apply the natural-gradient step for any parameterization.
 
-    Returns a Gaussian in the form native to the tag: mean/covariance for
-    theta and gamma, mean/precision for alpha and beta, natural form for
-    eta.
+    Returns a Gaussian in the form of the matrix the tag holds:
+    mean/covariance for theta and gamma, mean/precision for alpha, beta
+    and eta.
     """
     c = _coords(q, tag) + natural_delta(q, tag, grad)
     mean, matrix, which = _from_coords(c, tag, q.dim)
-    if tag == "eta":
-        return NaturalForm(c[: q.dim], SymmetricMatrix.from_full(matrix))
     native = MeanCovariance if which == "cov" else MeanPrecision
     return native.from_dense(mean, matrix)
 
@@ -145,7 +143,7 @@ def fd_check(loss: LossFunctional, q, rule: ExpectationRule, step: float = 1e-5)
     if step <= 0:
         raise ValueError("step must be positive")
     n = q.dim
-    mu = mean_of(q)
+    mu = q.mean
     half = vech(prec_of(q))
     _, bundle = value_and_derivatives(loss, q, rule)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngvi import cli
+from ngvi._testing import random_spd
 from ngvi.cli import (
     ProblemError,
     build_phi,
@@ -237,23 +238,35 @@ def test_indefinite_mean_hessian_names_the_iteration(tmp_path, capsys):
     assert err.startswith("error at iteration 0: mean Hessian is indefinite (smallest eigenvalue "), err
 
 
-def test_init_forms_parse_to_the_same_start():
-    mu = np.array([0.3, -1.2, 0.5])
-    prec = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.8]])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_init_forms_parse_to_the_same_start(n, seed):
+    rng = np.random.default_rng(seed)
+    mu = rng.standard_normal(n)
+    prec = random_spd(n, rng)
     forms = {
         "mean_precision": (mu, prec),
         "mean_covariance": (mu, np.linalg.inv(prec)),
         "natural": (prec @ mu, prec),
     }
-    raw = json.loads(open(_bundled_path("linear_chain")).read())
-    raw["dimension"] = 3
-    raw["factors"] = raw["factors"][:3]
+    poly = {"kind": "polynomial", "coefficients": [0.0, 0.0, 0.5]}
+    raw = {
+        "schema": "ngvi-problem/1",
+        "dimension": n,
+        "factors": [{"id": f"p{i}", "indices": [i], "phi": poly} for i in range(n)],
+    }
+    starts = {}
     for form, (vector, matrix) in forms.items():
         raw["init"] = {"form": form, "mean": vector.tolist(),
                        "matrix_vech": SymmetricMatrix.from_full(matrix).half.tolist()}
-        q = parse_problem(raw).init
+        q = starts[form] = parse_problem(raw).init
         assert np.max(np.abs(q.mean - mu)) <= 1e-12, form
         assert np.max(np.abs(q.prec.full() - prec)) <= 1e-12, form
+    assert starts["natural"].prec.half.tobytes() == starts["mean_precision"].prec.half.tobytes()
+
+
+def test_unknown_init_form_names_the_field():
+    raw = json.loads(open(_bundled_path("linear_chain")).read())
     for form in ("cholesky", ["mean_precision"]):
         raw["init"]["form"] = form
         with pytest.raises(ProblemError, match="field 'init.form'"):
@@ -297,6 +310,9 @@ def test_init_covariance_without_inverse_names_the_field():
         ("mean 0.5 nan\nprec_vech 1 0 1\n", "key 'mean' contains non-finite entries"),
         ("mean 0.5 -0.25\nprec_vech 1 inf 1\n", "key 'prec_vech': half vector contains non-finite entries"),
         ("mean 0.5 -0.25\nprec_vech 1 0 1e-17\n", "key 'prec_vech': the matrix is numerically singular"),
+        ("mean 0.5 -0.25\nprec_vec 1 0 1\n", "key 'prec_vec' is unknown; expected 'mean' or 'prec_vech'"),
+        ("# note\nmean 0.5 -0.25\nprec_vech 1 0 1\n", "key '#' is unknown; expected 'mean' or 'prec_vech'"),
+        ("mean 0.5 -0.25\nprec_vech 1 0 1\nmean 1 2\n", "key 'mean' is repeated"),
     ],
     ids=[
         "non-numeric-token",
@@ -305,11 +321,33 @@ def test_init_covariance_without_inverse_names_the_field():
         "nan-mean",
         "inf-prec-vech",
         "singular-prec-vech",
+        "unknown-key",
+        "stray-comment",
+        "repeated-key",
     ],
 )
 def test_parse_estimate_names_the_file_and_key(tmp_path, lines, message):
     path = tmp_path / "estimate.txt"
     path.write_text("# ngvi-estimate/1\n# dimension 2\n" + lines)
+    with pytest.raises(ProblemError) as excinfo:
+        parse_estimate(str(path))
+    assert str(excinfo.value) == f"estimate file {str(path)!r}: {message}"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# dimension 2\n", "key 'schema': expected '# ngvi-estimate/1' as the first line, found '# dimension 2'"),
+        ("# ngvi-estimate/9\n# dimension 2\n",
+         "key 'schema': expected '# ngvi-estimate/1' as the first line, found '# ngvi-estimate/9'"),
+        ("# ngvi-estimate/1\n", "key 'dimension': expected '# dimension n' as the second line, found 'mean 0.5 -0.25'"),
+        ("# ngvi-estimate/1\n# dimension 7\n", "key 'dimension': '# dimension 7' disagrees with the mean's length 2"),
+    ],
+    ids=["missing-schema", "other-schema", "missing-dimension", "wrong-dimension"],
+)
+def test_parse_estimate_checks_the_header(tmp_path, header, message):
+    path = tmp_path / "estimate.txt"
+    path.write_text(header + "mean 0.5 -0.25\nprec_vech 1 0 1\n")
     with pytest.raises(ProblemError) as excinfo:
         parse_estimate(str(path))
     assert str(excinfo.value) == f"estimate file {str(path)!r}: {message}"
@@ -558,6 +596,15 @@ def _drop(path):
         pytest.param(_set(["factors", 1, "id"], ""), "'factors[1].id'", id="empty-id"),
         pytest.param(_drop(["factors", 1, "id"]), "'factors[1].id'", id="missing-id"),
         pytest.param(_set(["factors", 1, "id"], 7), "'factors[1].id'", id="number-id"),
+        pytest.param(
+            _set(["factors", 1, "id"], "prior_x0"), "'factors[1].id': 'prior_x0' repeats factors[0]", id="repeated-id"
+        ),
+        pytest.param(_set(["factors", 3, "id"], "odom_12"), "'factors[3].id': 'odom_12' repeats factors[2]",
+                     id="repeated-later-id"),
+        pytest.param(_set(["name"], 5), "'name' must be a nonempty string, found 5", id="number-name"),
+        pytest.param(_set(["name"], ["x"]), "'name' must be a nonempty string, found ['x']", id="array-name"),
+        pytest.param(_set(["name"], None), "'name' must be a nonempty string, found None", id="null-name"),
+        pytest.param(_set(["name"], ""), "'name' must be a nonempty string, found ''", id="empty-name"),
         pytest.param(_set(["factors", 1, "indices"], [1, 1]), "'indices': factor 'odom_01'", id="repeated-indices"),
         pytest.param(_set(["factors", 1, "indices"], [-1, 1]), "'indices': factor 'odom_01'", id="negative-index"),
         pytest.param(_set(["factors", 1, "indices"], [0, 99]), "'indices': factor 'odom_01'", id="out-of-range-index"),

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngvi._testing import random_gaussian, random_spd
+from ngvi._testing import random_gaussian
 from ngvi.gaussian import (
     MeanCovariance,
     MeanPrecision,
-    NaturalForm,
     NotPositiveDefiniteError,
     convert,
     cov_of,
     kl,
     log_pdf,
-    mean_of,
     prec_of,
     sample,
     tril_inverse,
@@ -40,7 +38,7 @@ def test_conversion_round_trips():
     rng = np.random.default_rng(0)
     for n in (1, 2, 4):
         g = random_gaussian(n, rng)
-        for target in ("mean_prec", "natural", "mean_cov"):
+        for target in ("mean_prec", "mean_cov"):
             back = convert(convert(g, target), "mean_cov")
             assert np.allclose(back.mean, g.mean, atol=1e-12)
             assert np.allclose(back.cov.full(), g.cov.full(), atol=1e-12)
@@ -51,21 +49,12 @@ def test_convert_same_form_is_identity_object():
     assert convert(g, "mean_cov") is g
 
 
-def test_natural_form_parameters():
-    mu = np.array([1.0, -2.0])
-    prec = np.array([[2.0, 0.5], [0.5, 1.0]])
-    g = convert(MeanPrecision.from_dense(mu, prec), "natural")
-    assert np.allclose(g.eta1, prec @ mu, atol=1e-14)
-    assert np.allclose(g.eta2.full(), prec, atol=1e-14)
-    assert np.allclose(mean_of(g), mu, atol=1e-12)
-
-
 def test_accessors_consistent_across_forms():
     rng = np.random.default_rng(1)
     g = random_gaussian(3, rng)
-    for target in ("mean_cov", "mean_prec", "natural"):
+    for target in ("mean_cov", "mean_prec"):
         h = convert(g, target)
-        assert np.allclose(mean_of(h), g.mean, atol=1e-12)
+        assert np.allclose(h.mean, g.mean, atol=1e-12)
         assert np.allclose(cov_of(h), g.cov.full(), atol=1e-12)
         assert np.allclose(cov_of(h) @ prec_of(h), np.eye(3), atol=1e-12)
 
@@ -80,7 +69,7 @@ def test_log_pdf_agrees_across_forms():
     rng = np.random.default_rng(2)
     g = random_gaussian(3, rng)
     x = rng.standard_normal(3)
-    vals = [log_pdf(convert(g, t), x) for t in ("mean_cov", "mean_prec", "natural")]
+    vals = [log_pdf(convert(g, t), x) for t in ("mean_cov", "mean_prec")]
     assert np.allclose(vals, vals[0], atol=1e-12)
 
 
@@ -88,7 +77,7 @@ def test_log_pdf_of_a_batch_matches_each_point():
     rng = np.random.default_rng(12)
     g = random_gaussian(3, rng)
     xs = rng.standard_normal((50, 3))
-    for tag in ("mean_cov", "mean_prec", "natural"):
+    for tag in ("mean_cov", "mean_prec"):
         form = convert(g, tag)
         batch = log_pdf(form, xs)
         assert batch.shape == (50,)

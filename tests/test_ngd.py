@@ -116,7 +116,7 @@ def test_step_generic_returns_native_forms():
     assert step_generic(g, "gamma", zero["gamma"]).form == "mean_cov"
     assert step_generic(g, "alpha", zero["alpha"]).form == "mean_prec"
     assert step_generic(g, "beta", zero["beta"]).form == "mean_prec"
-    assert step_generic(g, "eta", zero["eta"]).form == "natural"
+    assert step_generic(g, "eta", zero["eta"]).form == "mean_prec"
 
 
 def test_zero_gradient_is_fixed_point_for_all_tags():
@@ -136,7 +136,7 @@ def test_eta_update_decouples_at_zero_mean():
     g = MeanCovariance.from_dense(np.zeros(n), random_spd(n, rng))
     grad = np.concatenate([rng.standard_normal(n), np.zeros(n * n)])
     out = step_generic(g, "eta", grad)
-    assert np.allclose(out.eta2.full(), np.linalg.inv(g.cov.full()), atol=1e-12)
+    assert np.allclose(out.prec.full(), np.linalg.inv(g.cov.full()), atol=1e-12)
 
 
 def test_step_hybrid_one_step_exactness_on_quadratic():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngvi._testing import random_gaussian
-from ngvi.gaussian import MeanCovariance, MeanPrecision, _draw, _standard_draws, convert
+from ngvi.gaussian import MeanCovariance, _draw, _standard_draws, convert
 from ngvi.quadrature import (
     POINT_BUDGET,
     EvaluationError,
