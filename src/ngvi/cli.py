@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from . import verify
-from .factors import Factor, FactorGraph, SparsityError, _quadratic_phi, optimize_factored
+from .factors import Factor, FactorGraph, SparsityError, optimize_factored
 from .gaussian import (
     MeanCovariance,
     MeanPrecision,
@@ -40,7 +40,7 @@ from .kronmat import AsymmetricMatrixError, SymmetricMatrix, check_symmetric, ha
 from .ngd import ConfigError, IndefiniteHessianError, NgdConfig
 from .quadrature import EvaluationError, ExpectationRule
 
-__all__ = ["main", "load_problem", "parse_estimate", "build_phi", "ProblemSpec"]
+__all__ = ["main", "load_problem", "parse_estimate", "build_factor", "build_phi", "ProblemSpec"]
 
 SCHEMA = "ngvi-problem/1"
 ESTIMATE_SCHEMA = "ngvi-estimate/1"
@@ -148,40 +148,61 @@ def _numbers(value, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# phi construction
+# phi construction: each swept kind is one stacked formula, (K, P, d)
+# points and the (K, w) parameter table of K factors -> their (K, P) values
 
 
-def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
-    """Build the loss term of one factor from its serialized form, as a
-    batched integrand: (P, n_indices) points to their P values.
+def logistic_bernoulli(u: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) - y t for t = a^T u; a row is (a, y)."""
+    # one matrix-vector product per factor, so that a row's values do not
+    # depend on the rows stacked with it
+    t = (u @ params[:, :-1, None])[:, :, 0]
+    return np.logaddexp(0.0, t) - params[:, -1:] * t
+
+
+def nonlinear_range(u: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """(r - distance)^2 / (2 variance), r the distance from (u_0, u_1) to
+    (u_2, u_3), or to a fixed landmark for 2 indices; a row is (distance,
+    variance) or (distance, variance, landmark)."""
+    other = u[:, :, 2:] if u.shape[2] == 4 else params[:, None, 2:]
+    r = np.hypot(u[:, :, 0] - other[:, :, 0], u[:, :, 1] - other[:, :, 1])
+    return (r - params[:, :1]) ** 2 / (2.0 * params[:, 1:2])
+
+
+def polynomial(u: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """sum_j c_j x^j by Horner's rule, as np.polynomial.polynomial.polyval
+    does it; a row is the coefficients c_0, c_1, ..."""
+    x = u[:, :, 0]
+    value = params[:, -1:] + x * 0
+    for j in range(params.shape[1] - 2, -1, -1):
+        value = params[:, j : j + 1] + value * x
+    return value
+
+
+def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
+    """One factor from its serialized form: ``Factor.gaussian`` from the
+    checked (m, P) of a ``gaussian_quadratic``, and ``Factor.of_kind`` with
+    the kind's formula and the checked parameters for any other kind.
 
     Every parameter must be present, numeric and finite; a malformed one
-    raises ProblemError naming the factor and the field. A problem file's
-    ``gaussian_quadratic`` factors are built by ``Factor.gaussian`` from the
-    same checked (m, P), which gives them this integrand and also the
-    closed form the assembly takes in its place.
+    raises ProblemError naming the factor and the field.
     """
+    n_indices = len(indices)
+    if kind == "gaussian_quadratic":
+        return Factor.gaussian(factor_id, indices, *_quadratic_params(params, n_indices, factor_id))
     owner = f"factor {factor_id!r}: "
 
     def field(key: str) -> str:
         return f"{owner}field {key!r}"
 
-    if kind == "gaussian_quadratic":
-        return _quadratic_phi(*_quadratic_params(params, n_indices, factor_id))
     if kind == "logistic_bernoulli":
         a = _numbers(params.get("feature"), field("feature")).reshape(-1)
         label = _number(params.get("label"), field("label"))
         if label not in (0.0, 1.0):
             raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
-        y = int(label)
         if a.shape[0] != n_indices:
             raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
-
-        def phi(u: np.ndarray) -> np.ndarray:
-            t = u @ a
-            return np.logaddexp(0.0, t) - y * t
-
-        return phi
+        return Factor.of_kind(factor_id, indices, logistic_bernoulli, (a, label))
     if kind == "nonlinear_range":
         distance = _number(params.get("distance"), field("distance"))
         variance = _number(params.get("variance"), field("variance"))
@@ -196,41 +217,29 @@ def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
                     f"{field('landmark')}: fixed-landmark range factors take "
                     f"2 indices and a 2-vector landmark"
                 )
-
-            def phi(u: np.ndarray) -> np.ndarray:
-                r = np.hypot(u[:, 0] - point[0], u[:, 1] - point[1])
-                return (r - distance) ** 2 / (2.0 * variance)
-
-            return phi
+            return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance, point))
         if n_indices != 4:
             raise ProblemError(
                 f"{field('landmark')} is missing: range factors take 2 indices "
                 f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
-
-        def phi(u: np.ndarray) -> np.ndarray:
-            r = np.hypot(u[:, 0] - u[:, 2], u[:, 1] - u[:, 3])
-            return (r - distance) ** 2 / (2.0 * variance)
-
-        return phi
+        return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance))
     if kind == "polynomial":
         coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
         if coeffs.shape[0] == 0:
             raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
         if n_indices != 1:
             raise ProblemError(f"{owner}polynomial factors take 1 index")
-
-        def phi(u: np.ndarray) -> np.ndarray:
-            # Horner's rule as np.polynomial.polynomial.polyval does it,
-            # without its per-call argument handling
-            x = u[:, 0]
-            value = coeffs[-1] + x * 0
-            for c in coeffs[-2::-1]:
-                value = c + value * x
-            return value
-
-        return phi
+        return Factor.of_kind(factor_id, indices, polynomial, (coeffs,))
     raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
+
+
+def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
+    """The loss term of one factor from its serialized form, as a batched
+    integrand: (P, n_indices) points to their P values. It is the
+    ``local_phi`` of the factor ``build_factor`` builds over the indices
+    0, ..., n_indices - 1, and raises what that raises."""
+    return build_factor(factor_id, tuple(range(n_indices)), kind, params).local_phi
 
 
 def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +319,9 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
-        _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
+        # a set test first, so that the field name is formatted only for a refusal
+        if not entry.keys() <= FACTOR_FIELDS:
+            _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
         factor_id = entry.get("id")
         if type(factor_id) is not str or not factor_id:
             raise ProblemError(
@@ -330,15 +341,10 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
         if not isinstance(phi_raw, dict):
             raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
         kind = phi_raw.get("kind")
-        if isinstance(kind, str) and kind in PHI_FIELDS:
+        if isinstance(kind, str) and kind in PHI_FIELDS and not phi_raw.keys() <= PHI_FIELDS[kind]:
             _refuse_unknown(phi_raw, f"factors[{position}].phi", PHI_FIELDS[kind])
         try:
-            if kind == "gaussian_quadratic":
-                m, p = _quadratic_params(phi_raw, len(indices), factor_id)
-                factors.append(Factor.gaussian(factor_id, indices, m, p))
-            else:
-                phi = build_phi(kind, phi_raw, len(indices), factor_id)
-                factors.append(Factor(factor_id, tuple(indices), phi))
+            factors.append(build_factor(factor_id, indices, kind, phi_raw))
         except ProblemError:
             raise
         except ValueError as exc:  # from Factor's index checks, which name the factor

@@ -14,14 +14,22 @@ exactly that.
 
 A factor's ``local_phi`` is a batched integrand (see ``ngvi.quadrature``):
 it maps the (P, d) evaluation points of its marginal to their P values.
-The assembly groups factors by arity, and each group records its
-distinct blocks (ordered index tuples; factors over the same tuple share
-one) once per graph. Per iteration and group it takes one stacked slice
-of the distinct blocks, one batched Cholesky factorization and inverse,
-and then sweeps the factors in chunks of at most ``CHUNK_POINTS`` points,
-one ``expect_weighted`` call per chunk that calls each factor's
-``local_phi`` once. The derivatives are linear in phi, so the moments
-are summed per block and mapped to derivatives once per block:
+The assembly sweeps factors in groups of one formula and arity. A factor
+built by ``Factor.of_kind`` is one row of its kind's stacked formula,
+(K, P, d) points and a (K, w) parameter table to (K, P) values, and its
+``local_phi`` is that formula at K = 1; the rows of one group are stacked
+into one table once per graph. The factors built from a ``local_phi``
+alone form one generic group per arity, whose stacked integrand calls
+each factor's ``local_phi`` once. Each group records its distinct blocks
+(ordered index tuples; factors over the same tuple share one) once per
+graph. Per iteration and group it takes one stacked slice of the
+distinct blocks, one batched Cholesky factorization and inverse, and
+then sweeps the factors in chunks of at most ``CHUNK_POINTS`` points:
+one ``expect_weighted`` call per chunk, which makes one call of the
+group's stacked integrand. The path is read from each factor's record,
+so wrapping a ``local_phi`` changes no number. The derivatives are
+linear in phi, so the moments are summed per block and mapped to
+derivatives once per block:
 prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian, from the
 Stein moment the sweep returns centred, and prec E[(x - mu) phi] for the
 gradient. One scatter per iteration adds every block into the global
@@ -101,14 +109,17 @@ class Factor:
     ``local_phi`` maps (P, len(indices)) points to their P values.
 
     ``Factor.gaussian`` builds the quadratic 0.5 (u - m)^T P (u - m) and
-    records its (m, P) in ``quadratic``; a factor built from a
-    ``local_phi`` alone records none and is always swept.
+    records its (m, P) in ``quadratic``. ``Factor.of_kind`` builds one row
+    of a stacked formula and records the formula and the row's parameters
+    in ``kind``. A factor built from a ``local_phi`` alone records neither,
+    and the assembly calls its ``local_phi``.
     """
 
     id: str
     indices: tuple[int, ...]
     local_phi: Callable[[np.ndarray], np.ndarray]
     quadratic: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    kind: tuple[Callable, tuple] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         indices = tuple(map(int, self.indices))
@@ -140,6 +151,19 @@ class Factor:
         object.__setattr__(factor, "quadratic", (m, p))
         return factor
 
+    @classmethod
+    def of_kind(cls, id: str, indices, formula, params: tuple) -> "Factor":
+        """One factor of a kind: ``formula`` maps the points (K, P, d) of K
+        factors and their parameter table (K, w) to the (K, P) values, and
+        ``params`` holds this factor's numbers and 1-D arrays, the parts of
+        its row. The assembly stacks the rows of every factor of one formula
+        and arity into one table once per graph and sweeps them with one
+        call per chunk; ``local_phi`` is the formula at K = 1, so the two
+        cannot disagree."""
+        factor = cls(id, indices, lambda u: formula(u[None], _table([params]))[0])
+        object.__setattr__(factor, "kind", (formula, params))
+        return factor
+
 
 def _quadratic_phi(m: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The batched integrand 0.5 (u - m)^T P (u - m)."""
@@ -149,6 +173,32 @@ def _quadratic_phi(m: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], np.nd
         return np.einsum("pj,pj->p", 0.5 * d @ p, d)
 
     return phi
+
+
+def _table(rows) -> np.ndarray:
+    """The (K, w) parameter table of K rows of one formula: the parts of
+    each row side by side. An array part whose length varies between rows
+    is padded with zeros at its end; only polynomial coefficients vary,
+    and zero high-order coefficients leave a polynomial unchanged."""
+    columns = []
+    for part in zip(*rows):
+        try:
+            column = np.array(part, dtype=float)
+        except ValueError:  # arrays of unequal lengths
+            column = np.zeros((len(part), max(map(len, part))))
+            for k, values in enumerate(part):
+                column[k, : len(values)] = values
+        columns.append(column.reshape(len(part), -1))
+    return np.hstack(columns)
+
+
+def _each_phi(points: np.ndarray, factors: tuple[Factor, ...]) -> np.ndarray:
+    """The stacked integrand of factors that record no kind: each factor's
+    ``local_phi`` called once, on its own points."""
+    values = np.empty(points.shape[:2])
+    for k, f in enumerate(factors):
+        values[k] = _as_values(f.local_phi(points[k]), values.shape[1])
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,18 +221,21 @@ class FactorGraph:
     @cached_property
     def _plan(self) -> "_Plan":
         """The assembly plan, built once per graph on first use: the
-        factors without a recorded quadratic grouped for the sweep, and the
-        Gaussian ones stacked per arity in graph order for the closed form."""
-        tagged: dict[int, list[Factor]] = {}
-        untagged = []
+        factors without a recorded quadratic grouped by formula and arity
+        for the sweep, and the Gaussian ones stacked per arity in graph
+        order for the closed form. The path is read from each factor's
+        record, never from its ``local_phi``, which a caller may wrap."""
+        gaussians: dict[int, list[Factor]] = {}
+        swept: dict[tuple, list[Factor]] = {}
         for f in self.factors:
-            if f.quadratic is None:
-                untagged.append(f)
+            if f.quadratic is not None:
+                gaussians.setdefault(len(f.indices), []).append(f)
             else:
-                tagged.setdefault(len(f.indices), []).append(f)
-        groups = _arity_groups(untagged)
+                formula = _each_phi if f.kind is None else f.kind[0]
+                swept.setdefault((formula, len(f.indices)), []).append(f)
+        groups = tuple(_group(formula, fs) for (formula, _), fs in swept.items())
         stacks = []
-        for fs in tagged.values():
+        for fs in gaussians.values():
             p = np.array([f.quadratic[1] for f in fs])
             stacks.append(
                 _Gaussians(
@@ -195,13 +248,17 @@ class FactorGraph:
 
 
 class _Group(NamedTuple):
-    """Factors of one arity and their distinct blocks."""
+    """Swept factors of one formula and arity and their distinct blocks."""
 
     factors: tuple[Factor, ...]
     # (B, d) distinct ordered index tuples, sorted
     blocks: np.ndarray
     # (K,) the block of each factor
     block_of: np.ndarray
+    # the stacked integrand (K, P, d) points, params -> (K, P) values, and
+    # its params: the (K, w) table of a kind, or the factors themselves
+    formula: Callable[[np.ndarray, object], np.ndarray]
+    params: np.ndarray | tuple[Factor, ...]
 
 
 class _Gaussians(NamedTuple):
@@ -226,18 +283,14 @@ class _Plan(NamedTuple):
     scatter_index: np.ndarray
 
 
-def _arity_groups(factors) -> tuple[_Group, ...]:
-    """The factors grouped by arity, groups in order of first appearance
-    and factors in graph order."""
-    groups: dict[int, list[Factor]] = {}
-    for f in factors:
-        groups.setdefault(len(f.indices), []).append(f)
-    out = []
-    for fs in groups.values():
-        indices = np.array([f.indices for f in fs], dtype=np.intp)
-        blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
-        out.append(_Group(tuple(fs), blocks, block_of.reshape(-1)))
-    return tuple(out)
+def _group(formula, factors) -> _Group:
+    """The group of these factors, in graph order, with their distinct
+    blocks and, for a kind, their parameter table."""
+    indices = np.array([f.indices for f in factors], dtype=np.intp)
+    blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
+    factors = tuple(factors)
+    params = factors if formula is _each_phi else _table([f.kind[1] for f in factors])
+    return _Group(factors, blocks, block_of.reshape(-1), formula, params)
 
 
 def _scatter_index(n: int, groups, stacks) -> np.ndarray:
@@ -317,9 +370,10 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     """Loss value and derivative bundle by per-factor marginal expectations.
 
     The marginals are blocks of the iterate's one covariance, and
-    ln|prec| comes from its cached factor. Per arity group, each distinct
-    block is sliced, factored and inverted once, each chunk of factors is
-    swept by one ``expect_weighted`` call, and the moments are summed per
+    ln|prec| comes from its cached factor. Per group of one formula and
+    arity, each distinct block is sliced, factored and inverted once, each
+    chunk of factors is swept by one ``expect_weighted`` call with one call
+    of the group's stacked integrand, and the moments are summed per
     block before the one map to derivatives (they are linear in phi). The
     sweep centres each factor's matrix moment before that sum.
     The Gaussian factors are not swept: each adds 0.5 r^T P r +
@@ -351,9 +405,13 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
             moments = []
             per_chunk = max(1, CHUNK_POINTS // _n_points(rule, dim))
             for start in range(0, len(group.factors), per_chunk):
-                at = block_of[start : start + per_chunk]
-                phis = [f.local_phi for f in group.factors[start : start + per_chunk]]
-                scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), phis)
+                rows = slice(start, start + per_chunk)
+                at = block_of[rows]
+
+                def stacked(points, formula=group.formula, params=group.params[rows]):
+                    return formula(points, params)
+
+                scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), stacked)
                 moments.append(np.column_stack([scalar, vector, matrix.reshape(len(at), -1)]))
             width = 1 + dim + dim * dim
             slots = (block_of[:, None] * width + np.arange(width)).ravel()

@@ -18,13 +18,15 @@ the rule's seeded standard normal draws. A sweep reads its node table:
 the nodes z (P, d), their weights and the pairwise products z_i z_j
 (P, d*d), built once per Gauss-Hermite order and dimension.
 
-``expect_weighted`` sweeps K Gaussians of one dimension at once, one
-integrand each; a single Gaussian is its K = 1 case. The points of all
-K come from one GEMM (``gaussian._affine``). With w the weighted values
-(K, P), the whitened moments are two more GEMMs, E[z f] = w @ z and
-E[z z^T f] = w @ zz. The Stein moment is centred there, where the
-identity is exact: E[f] comes off the diagonal of E[z z^T f]. The
-x-space moments it returns are L E[z f] and L E[(z z^T - I) f] L^T.
+``expect_weighted`` sweeps K Gaussians of one dimension at once with one
+stacked integrand, which maps the (K, P, d) points of all K to their
+(K, P) values in one call; a single Gaussian and its integrand are the
+K = 1 case. The points of all K come from one GEMM
+(``gaussian._affine``). With w the weighted values (K, P), the whitened
+moments are two more GEMMs, E[z f] = w @ z and E[z z^T f] = w @ zz. The
+Stein moment is centred there, where the identity is exact: E[f] comes
+off the diagonal of E[z z^T f]. The x-space moments it returns are
+L E[z f] and L E[(z z^T - I) f] L^T.
 
 A factor built by ``factors.Factor.gaussian`` is never swept here: its
 expectations have a closed form, which ``ngvi.factors`` takes under every
@@ -165,23 +167,30 @@ def pointwise(fn):
 
 
 def _as_values(values, count: int) -> np.ndarray:
-    """The (count,) values of one batched call; any other shape raises."""
+    """The (count,) values of one batched call, as floats; any other shape raises."""
     shape = np.shape(values)
     if shape != (count,):
         raise IntegrandShapeError(
             f"integrand returned values of shape {shape} for {count} points, expected "
             f"({count},); wrap a scalar integrand in ngvi.quadrature.pointwise"
         )
-    return values
+    return np.asarray(values, dtype=float)
 
 
-def _evaluate(fs, points: np.ndarray) -> np.ndarray:
-    """Values (K, P): integrand k called once on its Gaussian's points
-    (P, d). The first non-finite value, in integrand then point order,
-    raises with its node."""
-    values = np.empty(points.shape[:2])
-    for k, f in enumerate(fs):
-        values[k] = _as_values(f(points[k]), values.shape[1])
+def _evaluate(f, points: np.ndarray) -> np.ndarray:
+    """Values (K, P) of the stacked integrand, called once on the points
+    (K, P, d) of all K Gaussians. The first non-finite value, in Gaussian
+    then point order, raises with its node."""
+    values = f(points)
+    if np.shape(values) != points.shape[:2]:
+        raise IntegrandShapeError(
+            f"stacked integrand returned values of shape {np.shape(values)} for "
+            f"{points.shape[0]} Gaussians of {points.shape[1]} points, expected {points.shape[:2]}"
+        )
+    # values computed elementwise from the points inherit their point-major
+    # layout; in Gaussian-major order the moment GEMMs below sum in one
+    # order, whatever the integrand's layout
+    values = np.ascontiguousarray(values, dtype=float)
     if not np.isfinite(values).all():
         k, i = np.unravel_index(np.flatnonzero(~np.isfinite(values))[0], values.shape)
         x = points[k, i]
@@ -200,17 +209,21 @@ def expect_weighted(rule: ExpectationRule, g, f):
     ``g`` is a Gaussian in any form or a pair (mean, lower Cholesky factor
     of the covariance), and ``f`` one batched integrand; the result is
     (float, (d,), (d, d)). The stacked form takes a pair of K means
-    (K, d) and factors (K, d, d) and a sequence of K integrands, one per
-    Gaussian, and returns the three moments stacked: (K,), (K, d),
-    (K, d, d). This is how the factored assembly sweeps a group of factor
-    marginals at once without building any of them. The matrix moment,
+    (K, d) and factors (K, d, d) and one stacked integrand, which maps the
+    points (K, P, d) of all K Gaussians to their values (K, P), and
+    returns the three moments stacked: (K,), (K, d), (K, d, d). This is
+    how the factored assembly sweeps a group of factor marginals at once
+    without building any of them. The matrix moment,
     L E[(z z^T - I) f] L^T, is symmetrized on output.
     """
-    if callable(f):
-        mu, chol = _mean_and_chol(g)
-        scalar, vector, matrix = expect_weighted(rule, (mu[None], chol[None]), (f,))
+    means, chols = _mean_and_chol(g)
+    if means.ndim == 1:
+
+        def stacked(points):
+            return _as_values(f(points[0]), points.shape[1])[None]
+
+        scalar, vector, matrix = expect_weighted(rule, (means[None], chols[None]), stacked)
         return float(scalar[0]), vector[0], matrix[0]
-    means, chols = g
     count, dim = means.shape
     z, weights, zz = _node_table(rule, dim)
     values = _evaluate(f, gaussian._affine(means, chols, z))

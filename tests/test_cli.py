@@ -639,6 +639,7 @@ def test_phi_fields_are_per_kind():
     }
     spec = parse_problem(raw)
     assert [f.quadratic is not None for f in spec.graph.factors] == [True, False]
+    assert [f.kind is not None for f in spec.graph.factors] == [False, True]
 
 
 def test_directory_problem_path_exits_one(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd
-from ngvi.cli import build_phi, load_problem
+from ngvi.cli import build_factor, build_phi, load_problem
 from ngvi.factors import (
+    CHUNK_POINTS,
     Factor,
     FactorGraph,
     SparsityError,
@@ -253,6 +254,15 @@ KINDS_BY_ARITY = {
 }
 
 
+def swept_factor(fid, indices, kind, params):
+    """The factor a problem file gives, through its kind record, except
+    that a Gaussian factor is built from its ``local_phi`` alone, so that
+    every rule sweeps it as the per-factor reference does."""
+    if kind == "gaussian_quadratic":
+        return Factor(fid, indices, build_phi(kind, params, len(indices), fid))
+    return build_factor(fid, indices, kind, params)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_assemble_matches_per_factor_marginals(data):
@@ -265,20 +275,23 @@ def test_assemble_matches_per_factor_marginals(data):
         st.sampled_from([(rule, 0) for rule in rules] + [(rules[0], 400), (rules[2], 400)]),
         label="rule, extra arity-2 factors",
     )
+    # the swept kinds go through their records, and the generic path
+    # (every factor built from its local_phi alone) is the other case
+    generic = data.draw(st.booleans(), label="generic")
     rng = np.random.default_rng(seed)
     factor_list = []
     for k in range(data.draw(st.integers(1, 6), label="factors")):
         arity = data.draw(st.integers(1, min(4, dim)), label="arity")
         kind = data.draw(st.sampled_from(KINDS_BY_ARITY[arity]), label="kind")
         indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
-        phi = build_phi(kind, random_phi_params(kind, arity, rng), arity, f"f{k}")
-        factor_list.append(Factor(f"f{k}", indices, phi))
+        factor_list.append(swept_factor(f"f{k}", indices, kind, random_phi_params(kind, arity, rng)))
     for k in range(extra):
         kind = KINDS_BY_ARITY[2][k % 3]
         indices = tuple(int(i) for i in rng.choice(dim, 2, replace=False))
-        phi = build_phi(kind, random_phi_params(kind, 2, rng), 2, f"g{k}")
-        factor_list.append(Factor(f"g{k}", indices, phi))
+        factor_list.append(swept_factor(f"g{k}", indices, kind, random_phi_params(kind, 2, rng)))
     graph = FactorGraph(dim, tuple(factor_list))
+    if generic:
+        graph = untagged(graph)
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
     value, bundle = factors._assemble(graph, q, rule)
     ref_value, ref_grad, ref_hess, ref_grad_prec = reference_assemble(graph, q, rule)
@@ -353,7 +366,9 @@ def test_closed_form_gaussians_match_their_sweep(data):
     ids=["gh5", "gh3", "gh2", "monte-carlo"],
 )
 def test_gaussian_local_phi_is_never_called(rule):
-    graph = load_problem("range_slam_toy").graph
+    # nor is a kind row's: the assembly calls only the local_phi of a
+    # factor that records neither a quadratic nor a kind, once
+    graph = mixed_graph()
     counts = {}
 
     def counted(fid, phi):
@@ -365,10 +380,90 @@ def test_gaussian_local_phi_is_never_called(rule):
 
     for f in graph.factors:
         object.__setattr__(f, "local_phi", counted(f.id, f.local_phi))
-    factors._assemble(graph, load_problem("range_slam_toy").init, rule)
-    tagged = [f.id for f in graph.factors if f.quadratic is not None]
-    assert tagged and not any(fid in counts for fid in tagged)
-    assert all(counts[f.id] == 1 for f in graph.factors if f.quadratic is None)
+    factors._assemble(graph, MeanPrecision.from_dense(np.full(4, 0.1), np.eye(4)), rule)
+    tagged = [f.id for f in graph.factors if f.quadratic is not None or f.kind is not None]
+    assert len(tagged) == len(graph.factors) - 1
+    assert counts == {"bare": 1}
+
+
+def mixed_graph():
+    """A factor of every form: Gaussian, each swept kind (the range kind
+    in both forms, polynomials of two lengths) and a bare local_phi."""
+    return FactorGraph(
+        4,
+        (
+            build_factor("prior", (0, 1, 2, 3), "gaussian_quadratic", {"m": [0.0] * 4, "P": np.eye(4).tolist()}),
+            build_factor("logit", (0, 2), "logistic_bernoulli", {"feature": [1.0, -0.5], "label": 1}),
+            build_factor("range", (0, 1, 2, 3), "nonlinear_range", {"distance": 1.5, "variance": 0.5}),
+            build_factor("beacon", (2, 3), "nonlinear_range", {"distance": 1.0, "variance": 0.3, "landmark": [1.0, 0.5]}),
+            build_factor("quartic", (1,), "polynomial", {"coefficients": [0.0, 0.3, 1.0, 0.0, 0.1]}),
+            build_factor("square", (3,), "polynomial", {"coefficients": [0.0, 0.0, 1.0]}),
+            Factor("bare", (1, 3), lambda u: np.cosh(u[:, 0] - u[:, 1])),
+        ),
+    )
+
+
+@pytest.mark.parametrize("rule", [RULE5, ExpectationRule("monte_carlo", 64, seed=3)], ids=["gh5", "monte-carlo"])
+def test_wrapped_phis_leave_the_assembly_bitwise_unchanged(rule):
+    # perfbench/tracing.py's wrap_phis replaces every factor's local_phi
+    # with a timing wrapper before a traced solve; the assembly must take
+    # the same path, and so write the same bytes, as an untraced solve
+    rng = np.random.default_rng(16)
+    q = MeanPrecision.from_dense(rng.standard_normal(4), random_spd(4, rng))
+    value, bundle = factors._assemble(mixed_graph(), q, rule)
+    graph = mixed_graph()
+    calls = []
+
+    def timed(phi):
+        def wrapped(u):
+            calls.append(u.shape)
+            return phi(u)
+
+        return wrapped
+
+    for f in graph.factors:
+        object.__setattr__(f, "local_phi", timed(f.local_phi))
+    wrapped_value, wrapped = factors._assemble(graph, q, rule)
+    assert wrapped_value == value
+    for name in ("grad_mu", "hess", "cov"):
+        assert np.array_equal(getattr(wrapped, name), getattr(bundle, name)), name
+    assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kind_tables_match_the_generic_path(data):
+    # every swept kind at each arity it takes, polynomials of 1 to 6
+    # coefficients in one table, and optionally 400 more arity-2 factors of
+    # one kind: a group larger than one chunk under GH 5 and Monte Carlo 64
+    dim = data.draw(st.integers(4, 8), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    extra = data.draw(st.sampled_from([0, 400]), label="extra arity-2 factors")
+    factor_list = []
+    for k in range(1, 7):
+        index = (int(rng.integers(dim)),)
+        factor_list.append(build_factor(f"p{k}", index, "polynomial", {"coefficients": rng.standard_normal(k).tolist()}))
+    shapes = [(arity, kind) for arity, kinds in KINDS_BY_ARITY.items() for kind in kinds if kind != "gaussian_quadratic"]
+    many = data.draw(st.sampled_from(shapes[2:4]), label="extra kind")[1]
+    for k, (arity, kind) in enumerate(shapes * 2 + [(2, many)] * extra):
+        indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
+        factor_list.append(build_factor(f"f{k}", indices, kind, random_phi_params(kind, arity, rng)))
+    graph = FactorGraph(dim, tuple(factor_list))
+    assert all(f.kind is not None for f in graph.factors)
+    assert len(graph._plan.groups) == len(shapes)
+    if extra:
+        assert max(len(g.factors) for g in graph._plan.groups) * 25 > CHUNK_POINTS
+    q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
+
+    def rel(found, expected):
+        return np.max(np.abs(found - expected)) / np.max(np.abs(expected))
+
+    for rule in (RULE5, ExpectationRule("gauss_hermite", 3), ExpectationRule("monte_carlo", 64, seed=3)):
+        value, bundle = factors._assemble(graph, q, rule)
+        ref_value, ref = factors._assemble(untagged(graph), q, rule)
+        assert rel(value, ref_value) <= 1e-12
+        assert rel(bundle.grad_mu, ref.grad_mu) <= 1e-12
+        assert rel(bundle.hess, ref.hess) <= 1e-12
 
 
 def test_all_gaussian_graph_sweeps_nothing():
@@ -537,6 +632,17 @@ def test_batched_kinds_match_scalar_formulas(data):
     expected = np.array([scalar_phi(kind, params, u) for u in points])
     assert batched.shape == expected.shape
     assert np.all(np.abs(batched - expected) <= 1e-14 * np.abs(expected))
+    if kind == "gaussian_quadratic":
+        return
+    # each factor's local_phi is bitwise its row of the stacked call, also
+    # when the rows' polynomial coefficients differ in length
+    rows = [build_factor(f"f{k}", tuple(range(arity)), kind, random_phi_params(kind, arity, rng)) for k in range(5)]
+    (group,) = FactorGraph(arity, tuple(rows))._plan.groups
+    stacked_points = scale * rng.standard_normal((5, points.shape[0], arity))
+    stacked = group.formula(stacked_points, group.params)
+    assert stacked.shape == stacked_points.shape[:2]
+    for f, u, row in zip(rows, stacked_points, stacked):
+        assert np.array_equal(f.local_phi(u), row)
 
 
 @pytest.mark.parametrize(
@@ -593,6 +699,25 @@ def test_nonfinite_value_reports_first_factor_in_graph_order():
     message, node = per_point_error(q, graph.factors[1], RULE5)
     with pytest.raises(EvaluationError) as excinfo:
         factors._assemble(graph, q, RULE5)
+    assert str(excinfo.value) == message
+    assert np.array_equal(excinfo.value.node, node)
+    # A polynomial row of a stacked table overflows: the bare arity-2
+    # group is swept first and fails at 'nan', which 'overflow', the
+    # second row of the polynomial table, precedes in graph order.
+    graph = FactorGraph(
+        5,
+        (
+            Factor("fine", (3, 4), fine),
+            build_factor("calm", (0,), "polynomial", {"coefficients": [1.0, 2.0]}),
+            build_factor("overflow", (2,), "polynomial", {"coefficients": [0.0, 0.0, 1e308]}),
+            Factor("nan", (3, 4), nan_beyond(0.1, 1)),
+        ),
+    )
+    with np.errstate(over="ignore"):
+        message, node = per_point_error(q, graph.factors[2], RULE5)
+        with pytest.raises(EvaluationError) as excinfo:
+            factors._assemble(graph, q, RULE5)
+    assert "inf" in message
     assert str(excinfo.value) == message
     assert np.array_equal(excinfo.value.node, node)
 
@@ -678,13 +803,12 @@ def test_factored_equals_unfactored_on_random_convex_graphs(data):
     factor_list = []
     for i in range(dim):
         c1, c2, c4 = rng.standard_normal(), rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0)
-        phi = build_phi("polynomial", {"coefficients": [0.0, c1, c2, 0.0, c4]}, 1, f"p{i}")
-        factor_list.append(Factor(f"p{i}", (i,), phi))
+        factor_list.append(build_factor(f"p{i}", (i,), "polynomial", {"coefficients": [0.0, c1, c2, 0.0, c4]}))
     for k in range(data.draw(st.integers(1, 5), label="quadratics")):
         arity = int(rng.integers(1, min(3, dim) + 1))
         indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
         params = random_phi_params("gaussian_quadratic", arity, rng)
-        factor_list.append(Factor(f"q{k}", indices, build_phi("gaussian_quadratic", params, arity, f"q{k}")))
+        factor_list.append(build_factor(f"q{k}", indices, "gaussian_quadratic", params))
     graph = FactorGraph(dim, tuple(factor_list))
     q0 = MeanPrecision.from_dense(rng.standard_normal(dim), np.diag(rng.uniform(0.5, 2.0, dim)))
 

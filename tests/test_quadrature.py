@@ -162,6 +162,12 @@ def stacked_gaussians(k, d, rng):
     return gs, np.stack([g.mean for g in gs]), np.stack([g.chol for g in gs])
 
 
+def stacked(fs):
+    """The stacked integrand of K integrands: the k-th maps the points of
+    Gaussian k."""
+    return lambda points: np.stack([f(x) for f, x in zip(fs, points)])
+
+
 @pytest.mark.parametrize(
     "rule", [ExpectationRule("gauss_hermite", 4), ExpectationRule("monte_carlo", 300, seed=5)]
 )
@@ -169,7 +175,7 @@ def test_stacked_sweep_matches_one_gaussian_at_a_time(rule):
     rng = np.random.default_rng(12)
     gs, means, chols = stacked_gaussians(5, 3, rng)
     fs = [lambda x, a=a: np.sin(a * x[:, 0]) + x[:, 1] * x[:, 2] ** 2 for a in range(5)]
-    scalar, vector, matrix = expect_weighted(rule, (means, chols), fs)
+    scalar, vector, matrix = expect_weighted(rule, (means, chols), stacked(fs))
     assert scalar.shape == (5,) and vector.shape == (5, 3) and matrix.shape == (5, 3, 3)
     for k, (g, f) in enumerate(zip(gs, fs)):
         s1, v1, m1 = expect_weighted(rule, g, f)
@@ -189,7 +195,7 @@ def test_stacked_monte_carlo_points_are_each_gaussians_draws():
         return np.zeros(x.shape[0])
 
     rule = ExpectationRule("monte_carlo", 50, seed=21)
-    expect_weighted(rule, (means, chols), [record] * 4)
+    expect_weighted(rule, (means, chols), stacked([record] * 4))
     for points, g in zip(seen, gs):
         assert np.array_equal(points, _draw(g.mean, g.chol, 50, 21))
 
@@ -202,6 +208,16 @@ def test_integrand_of_wrong_shape_points_to_pointwise(f):
         expect_weighted(ExpectationRule("gauss_hermite", 5), g, f)
 
 
+@pytest.mark.parametrize(
+    "f", [lambda x: x[:, :, 0].T, lambda x: x[0, :, 0], lambda x: x[:, :-1, 0]], ids=["transposed", "one-row", "short"]
+)
+def test_stacked_integrand_of_wrong_shape_is_refused(f):
+    _, means, chols = stacked_gaussians(3, 2, np.random.default_rng(15))
+    expected = "^stacked integrand returned values of shape .* for 3 Gaussians of 25 points, expected \\(3, 25\\)$"
+    with pytest.raises(IntegrandShapeError, match=expected):
+        expect_weighted(ExpectationRule("gauss_hermite", 5), (means, chols), f)
+
+
 def test_stacked_nonfinite_value_reports_first_integrand_then_point():
     rng = np.random.default_rng(14)
     _, means, chols = stacked_gaussians(3, 2, rng)
@@ -210,7 +226,7 @@ def test_stacked_nonfinite_value_reports_first_integrand_then_point():
     bad = pointwise(lambda x: np.inf if x[0] > means[1, 0] else 0.0)
     rule = ExpectationRule("gauss_hermite", 5)
     with pytest.raises(EvaluationError) as excinfo:
-        expect_weighted(rule, (means, chols), [fine, bad, pointwise(lambda x: np.nan)])
+        expect_weighted(rule, (means, chols), stacked([fine, bad, pointwise(lambda x: np.nan)]))
     nodes, _ = _gh_table(5, 2)[:2]
     points = means[1] + nodes @ chols[1].T
     first = points[np.flatnonzero(points[:, 0] > means[1, 0])[0]]
@@ -255,7 +271,7 @@ def test_whitened_moments_match_the_offset_formula(d, k, rule, seed):
     _, means, chols = stacked_gaussians(k, d, rng)
     a = rng.standard_normal((k, d))
     fs = [lambda x, a=a[j]: np.cos(x @ a) + (x @ a) ** 2 for j in range(k)]
-    found = expect_weighted(rule, (means, chols), fs)
+    found = expect_weighted(rule, (means, chols), stacked(fs))
     for got, expected in zip(found, offset_moments(rule, means, chols, fs)):
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
