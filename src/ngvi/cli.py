@@ -38,9 +38,9 @@ from .gaussian import (
 )
 from .kronmat import AsymmetricMatrixError, SymmetricMatrix, check_symmetric, half_len
 from .ngd import ConfigError, IndefiniteHessianError, NgdConfig
-from .quadrature import EvaluationError, ExpectationRule
+from .quadrature import EvaluationError, ExpectationRule, default_rule
 
-__all__ = ["main", "load_problem", "parse_estimate", "build_factor", "build_phi", "ProblemSpec"]
+__all__ = ["main", "load_problem", "parse_estimate", "build_factor", "ProblemSpec"]
 
 SCHEMA = "ngvi-problem/1"
 ESTIMATE_SCHEMA = "ngvi-estimate/1"
@@ -69,8 +69,12 @@ class ProblemSpec:
     dimension: int
     init: MeanPrecision
     graph: FactorGraph
-    rule: ExpectationRule
     config: NgdConfig
+
+    @property
+    def rule(self) -> ExpectationRule:
+        """The rule of the solve, the one in ``config``."""
+        return self.config.rule
 
 
 def _fmt(values) -> str:
@@ -234,14 +238,6 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
     raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
 
 
-def build_phi(kind: str, params: dict, n_indices: int, factor_id: str):
-    """The loss term of one factor from its serialized form, as a batched
-    integrand: (P, n_indices) points to their P values. It is the
-    ``local_phi`` of the factor ``build_factor`` builds over the indices
-    0, ..., n_indices - 1, and raises what that raises."""
-    return build_factor(factor_id, tuple(range(n_indices)), kind, params).local_phi
-
-
 def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.ndarray, np.ndarray]:
     """The checked (m, P) of a ``gaussian_quadratic`` factor."""
 
@@ -356,15 +352,19 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     except ValueError as exc:  # an index beyond the dimension, with the factor named
         raise ProblemError(f"field 'indices': {exc}") from None
 
-    rule_raw = _known_fields(raw.get("rule", {}), "rule", {"kind": "gauss_hermite", "order": 5, "seed": 0})
-    if rule_raw["kind"] == "monte_carlo" and "order" not in raw["rule"]:
-        raise ProblemError("field 'rule.order' is required for a monte_carlo rule: it is the sample count")
-    order = _integer(rule_raw["order"], "field 'rule.order'")
-    seed = _integer(rule_raw["seed"], "field 'rule.seed'")
-    try:
-        rule = ExpectationRule(kind=rule_raw["kind"], order=order, seed=seed)
-    except ValueError as exc:
-        raise ProblemError(f"field 'rule': {exc}") from None
+    if "rule" not in raw:
+        # the rule optimize_factored picks when it is given none
+        rule = default_rule(max(len(f.indices) for f in factors))
+    else:
+        rule_raw = _known_fields(raw["rule"], "rule", {"kind": "gauss_hermite", "order": 5, "seed": 0})
+        if rule_raw["kind"] == "monte_carlo" and "order" not in raw["rule"]:
+            raise ProblemError("field 'rule.order' is required for a monte_carlo rule: it is the sample count")
+        order = _integer(rule_raw["order"], "field 'rule.order'")
+        seed = _integer(rule_raw["seed"], "field 'rule.seed'")
+        try:
+            rule = ExpectationRule(kind=rule_raw["kind"], order=order, seed=seed)
+        except ValueError as exc:
+            raise ProblemError(f"field 'rule': {exc}") from None
 
     cfg_raw = _known_fields(
         raw.get("config", {}),
@@ -383,14 +383,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     except ConfigError as exc:
         raise ProblemError(f"field 'config': {exc}") from None
 
-    return ProblemSpec(
-        name=name,
-        dimension=dimension,
-        init=init,
-        graph=graph,
-        rule=rule,
-        config=config,
-    )
+    return ProblemSpec(name=name, dimension=dimension, init=init, graph=graph, config=config)
 
 
 def bundled_problem_names() -> list[str]:
@@ -520,7 +513,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
             f"--rule {rule.kind} needs --order: the problem's order {spec.rule.order} is a {spec.rule.kind} order"
         )
     overrides = given(max_iters="max_iters", rel_tol="rel_tol", step_scale="step_scale", jitter="jitter")
-    return replace(spec, rule=rule, config=replace(spec.config, rule=rule, **overrides))
+    return replace(spec, config=replace(spec.config, rule=rule, **overrides))
 
 
 def run_command(args) -> int:

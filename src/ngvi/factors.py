@@ -14,36 +14,38 @@ exactly that.
 
 A factor's ``local_phi`` is a batched integrand (see ``ngvi.quadrature``):
 it maps the (P, d) evaluation points of its marginal to their P values.
-The assembly sweeps factors in groups of one formula and arity. A factor
+The assembly takes factors in groups of one formula and arity. A factor
 built by ``Factor.of_kind`` is one row of its kind's stacked formula,
 (K, P, d) points and a (K, w) parameter table to (K, P) values, and its
 ``local_phi`` is that formula at K = 1; the rows of one group are stacked
-into one table once per graph. The factors built from a ``local_phi``
-alone form one generic group per arity, whose stacked integrand calls
-each factor's ``local_phi`` once. Each group records its distinct blocks
-(ordered index tuples; factors over the same tuple share one) once per
-graph. Per iteration and group it takes one stacked slice of the
-distinct blocks, one batched Cholesky factorization and inverse, and
-then sweeps the factors in chunks of at most ``CHUNK_POINTS`` points:
-one ``expect_weighted`` call per chunk, which makes one call of the
-group's stacked integrand. The path is read from each factor's record,
-so wrapping a ``local_phi`` changes no number. The derivatives are
-linear in phi, so the moments are summed per block and mapped to
-derivatives once per block:
+once per graph. The factors built from a ``local_phi`` alone form one
+generic group per arity, whose stacked integrand calls each factor's
+``local_phi`` once. The path is read from each factor's record, so
+wrapping a ``local_phi`` changes no number. Per iteration and group the
+assembly takes one stacked slice of the group's blocks (ordered index
+tuples) and one batched Cholesky factorization, the definiteness test of
+every marginal, and then takes the group in closed form or sweeps it.
+
+A Gaussian factor, built by ``Factor.gaussian`` as the row (m, P) of the
+kind ``quadratic``, 0.5 (u - m)^T P (u - m), has its expectations in
+closed form: the value 0.5 r^T P r + 0.5 tr(P Sigma_k) for r = mu_k - m,
+the gradient P r and the constant Hessian P. These are the exact
+expectations, so under every rule a ``quadratic`` group, one block per
+factor in graph order, is taken in closed form, and no ``local_phi`` of
+it is called. A rule exact to degree 4 in z (Gauss-Hermite of order 3 or
+more) would sweep it to the same numbers up to rounding; a lower order or
+Monte Carlo would only approximate them.
+
+Any other group records its distinct blocks (factors over the same tuple
+share one) once per graph. Per iteration it inverts each block and sweeps
+the factors in chunks of at most ``CHUNK_POINTS`` points: one
+``expect_weighted`` call per chunk, which makes one call of the group's
+stacked integrand. The derivatives are linear in phi, so the moments are
+summed per block and mapped to derivatives once per block:
 prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian, from the
 Stein moment the sweep returns centred, and prec E[(x - mu) phi] for the
 gradient. One scatter per iteration adds every block into the global
 gradient and Hessian.
-
-A Gaussian factor, built by ``Factor.gaussian`` as 0.5 (u - m)^T P (u - m),
-has these expectations in closed form: the value 0.5 r^T P r +
-0.5 tr(P Sigma_k) for r = mu_k - m, the gradient P r and the constant
-Hessian P. These are the exact expectations, so under every rule the
-graph's Gaussian factors are stacked per arity once and integrated in
-closed form, and their ``local_phi`` is not called. A rule exact to degree
-4 in z (Gauss-Hermite of order 3 or more) would sweep them to the same
-numbers up to rounding; a lower order or Monte Carlo would only
-approximate them.
 
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
@@ -108,17 +110,16 @@ class Factor:
     """A loss term over the sub-vector selected by ``indices``; its batched
     ``local_phi`` maps (P, len(indices)) points to their P values.
 
-    ``Factor.gaussian`` builds the quadratic 0.5 (u - m)^T P (u - m) and
-    records its (m, P) in ``quadratic``. ``Factor.of_kind`` builds one row
-    of a stacked formula and records the formula and the row's parameters
-    in ``kind``. A factor built from a ``local_phi`` alone records neither,
-    and the assembly calls its ``local_phi``.
+    ``Factor.of_kind`` builds one row of a stacked formula and records the
+    formula and the row's parameters in ``kind``; ``Factor.gaussian`` builds
+    the row (m, P) of the formula ``quadratic``. A factor built from a
+    ``local_phi`` alone records no kind, and the assembly calls its
+    ``local_phi``.
     """
 
     id: str
     indices: tuple[int, ...]
     local_phi: Callable[[np.ndarray], np.ndarray]
-    quadratic: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
     kind: tuple[Callable, tuple] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -133,9 +134,9 @@ class Factor:
 
     @classmethod
     def gaussian(cls, id: str, indices, m, P) -> "Factor":
-        """The factor 0.5 (u - m)^T P (u - m), its ``local_phi`` built from
-        the recorded (m, P) so that the two cannot disagree. The assembly
-        takes the symmetric part of P, the only part the form sees."""
+        """The factor 0.5 (u - m)^T P (u - m), the row (m, P) of the kind
+        ``quadratic``. The assembly takes the symmetric part of P, the only
+        part the form sees."""
         indices = tuple(indices)
         m = np.array(m, dtype=float)
         p = np.array(P, dtype=float)
@@ -147,32 +148,28 @@ class Factor:
             )
         m.setflags(write=False)
         p.setflags(write=False)
-        factor = cls(id, indices, _quadratic_phi(m, p))
-        object.__setattr__(factor, "quadratic", (m, p))
-        return factor
+        return cls.of_kind(id, indices, quadratic, (m, p))
 
     @classmethod
     def of_kind(cls, id: str, indices, formula, params: tuple) -> "Factor":
         """One factor of a kind: ``formula`` maps the points (K, P, d) of K
         factors and their parameter table (K, w) to the (K, P) values, and
-        ``params`` holds this factor's numbers and 1-D arrays, the parts of
-        its row. The assembly stacks the rows of every factor of one formula
-        and arity into one table once per graph and sweeps them with one
-        call per chunk; ``local_phi`` is the formula at K = 1, so the two
-        cannot disagree."""
+        ``params`` holds this factor's numbers and arrays, the parts of its
+        row. The assembly stacks the rows of every factor of one formula
+        and arity once per graph and sweeps them with one call per chunk,
+        or takes them in closed form for ``quadratic``; ``local_phi`` is the
+        formula at K = 1, so the two cannot disagree."""
         factor = cls(id, indices, lambda u: formula(u[None], _table([params]))[0])
         object.__setattr__(factor, "kind", (formula, params))
         return factor
 
 
-def _quadratic_phi(m: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The batched integrand 0.5 (u - m)^T P (u - m)."""
-
-    def phi(u: np.ndarray) -> np.ndarray:
-        d = u - m
-        return np.einsum("pj,pj->p", 0.5 * d @ p, d)
-
-    return phi
+def quadratic(u: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """0.5 (u - m)^T P (u - m); a row is (m, P), P row-major. The assembly
+    takes its groups in closed form, so it runs only as ``local_phi``."""
+    k, _, d = u.shape
+    r = u - params[:, None, :d]
+    return np.einsum("kpj,kpj->kp", 0.5 * r @ params[:, d:].reshape(k, d, d), r)
 
 
 def _table(rows) -> np.ndarray:
@@ -221,80 +218,63 @@ class FactorGraph:
     @cached_property
     def _plan(self) -> "_Plan":
         """The assembly plan, built once per graph on first use: the
-        factors without a recorded quadratic grouped by formula and arity
-        for the sweep, and the Gaussian ones stacked per arity in graph
-        order for the closed form. The path is read from each factor's
-        record, never from its ``local_phi``, which a caller may wrap."""
-        gaussians: dict[int, list[Factor]] = {}
-        swept: dict[tuple, list[Factor]] = {}
+        factors grouped by formula and arity, in order of first appearance,
+        the closed-form ``quadratic`` groups after the swept ones. The path
+        is read from each factor's record, never from its ``local_phi``,
+        which a caller may wrap."""
+        grouped: dict[tuple, list[Factor]] = {}
         for f in self.factors:
-            if f.quadratic is not None:
-                gaussians.setdefault(len(f.indices), []).append(f)
-            else:
-                formula = _each_phi if f.kind is None else f.kind[0]
-                swept.setdefault((formula, len(f.indices)), []).append(f)
-        groups = tuple(_group(formula, fs) for (formula, _), fs in swept.items())
-        stacks = []
-        for fs in gaussians.values():
-            p = np.array([f.quadratic[1] for f in fs])
-            stacks.append(
-                _Gaussians(
-                    np.array([f.indices for f in fs], dtype=np.intp),
-                    np.array([f.quadratic[0] for f in fs]),
-                    0.5 * (p + np.swapaxes(p, 1, 2)),
-                )
-            )
-        return _Plan(groups, tuple(stacks), _scatter_index(self.dim, groups, stacks))
+            formula = _each_phi if f.kind is None else f.kind[0]
+            grouped.setdefault((formula, len(f.indices)), []).append(f)
+        keys = sorted(grouped, key=lambda key: key[0] is quadratic)
+        groups = tuple(_group(key[0], grouped[key]) for key in keys)
+        return _Plan(groups, _scatter_index(self.dim, groups))
 
 
 class _Group(NamedTuple):
-    """Swept factors of one formula and arity and their distinct blocks."""
+    """Factors of one formula and arity and their blocks."""
 
     factors: tuple[Factor, ...]
-    # (B, d) distinct ordered index tuples, sorted
+    # (B, d) ordered index tuples: one per factor for ``quadratic``, else
+    # the distinct ones, sorted
     blocks: np.ndarray
     # (K,) the block of each factor
     block_of: np.ndarray
     # the stacked integrand (K, P, d) points, params -> (K, P) values, and
-    # its params: the (K, w) table of a kind, or the factors themselves
+    # its params: the (K, w) table of a kind, the factors themselves, or
+    # for ``quadratic`` the stacked m and symmetric P of the closed form
     formula: Callable[[np.ndarray, object], np.ndarray]
-    params: np.ndarray | tuple[Factor, ...]
-
-
-class _Gaussians(NamedTuple):
-    """Gaussian factors of one arity, stacked: the closed-form terms."""
-
-    # (K, d) index tuples, one per factor
-    blocks: np.ndarray
-    # (K, d) and (K, d, d): each factor's m and symmetric P
-    m: np.ndarray
-    p: np.ndarray
+    params: np.ndarray | tuple
 
 
 class _Plan(NamedTuple):
-    """What an assembly sweeps, what it takes in closed form, and where
-    the one scatter puts each block."""
+    """The groups an assembly takes, and where the one scatter puts each
+    block."""
 
     groups: tuple[_Group, ...]
-    gaussians: tuple[_Gaussians, ...]
     # flat positions, in the concatenation of the gradient (n) and the
-    # row-major Hessian (n * n), of the block gradients of every group then
-    # every stack, then of their block Hessians in the same order
+    # row-major Hessian (n * n), of the block gradients of every group,
+    # then of their block Hessians in the same order
     scatter_index: np.ndarray
 
 
 def _group(formula, factors) -> _Group:
-    """The group of these factors, in graph order, with their distinct
-    blocks and, for a kind, their parameter table."""
+    """The group of these factors, in graph order, with its blocks and
+    params. The stacked P of a ``quadratic`` group is symmetrized here,
+    once per graph."""
     indices = np.array([f.indices for f in factors], dtype=np.intp)
-    blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
     factors = tuple(factors)
+    if formula is quadratic:
+        p = np.array([f.kind[1][1] for f in factors])
+        params = (np.array([f.kind[1][0] for f in factors]), 0.5 * (p + np.swapaxes(p, 1, 2)))
+        return _Group(factors, indices, np.arange(len(factors)), formula, params)
+    blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
     params = factors if formula is _each_phi else _table([f.kind[1] for f in factors])
     return _Group(factors, blocks, block_of.reshape(-1), formula, params)
 
 
-def _scatter_index(n: int, groups, stacks) -> np.ndarray:
-    blocks = [g.blocks for g in (*groups, *stacks)]
+def _scatter_index(n: int, groups) -> np.ndarray:
+    blocks = [g.blocks for g in groups]
     grads = [b.ravel() for b in blocks]
     hessians = [n + (b[:, :, None] * n + b[:, None, :]).ravel() for b in blocks]
     return np.concatenate(grads + hessians) if blocks else np.zeros(0, dtype=np.intp)
@@ -312,14 +292,13 @@ def sparsity_pattern(graph: FactorGraph) -> frozenset[tuple[int, int]]:
 
 def _pattern_mask(graph: FactorGraph) -> np.ndarray:
     """The pattern as a mask over the half vector, from the blocks of the
-    assembly plan, swept and closed-form alike."""
+    assembly plan."""
     n = graph.dim
     allowed = np.zeros(half_len(n), dtype=bool)
     diagonal = np.arange(n)
     allowed[_vech_position(diagonal, diagonal, n)] = True
-    plan = graph._plan
-    for part in (*plan.groups, *plan.gaussians):
-        r, c = np.broadcast_arrays(part.blocks[:, :, None], part.blocks[:, None, :])
+    for group in graph._plan.groups:
+        r, c = np.broadcast_arrays(group.blocks[:, :, None], group.blocks[:, None, :])
         lower = r >= c
         allowed[_vech_position(r[lower], c[lower], n)] = True
     return allowed
@@ -371,16 +350,12 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
 
     The marginals are blocks of the iterate's one covariance, and
     ln|prec| comes from its cached factor. Per group of one formula and
-    arity, each distinct block is sliced, factored and inverted once, each
-    chunk of factors is swept by one ``expect_weighted`` call with one call
-    of the group's stacked integrand, and the moments are summed per
-    block before the one map to derivatives (they are linear in phi). The
-    sweep centres each factor's matrix moment before that sum.
-    The Gaussian factors are not swept: each adds 0.5 r^T P r +
-    0.5 tr(P Sigma_k) to the value, P r to the gradient and its constant P
-    to the Hessian, for r = mu_k - m. Every block's derivatives then go
-    into one scatter. The bundle carries
-    the covariance the marginals were sliced from.
+    arity, the blocks are sliced and factored at once, which tests every
+    marginal for definiteness. A ``quadratic`` group adds, per factor,
+    0.5 r^T P r + 0.5 tr(P Sigma_k) to the value, P r to the gradient and
+    its constant P to the Hessian, for r = mu_k - m; any other group is
+    swept (``_sweep``). Every block's derivatives then go into one scatter.
+    The bundle carries the covariance the marginals were sliced from.
     """
     q = convert(q, "mean_prec")
     n = graph.dim
@@ -395,46 +370,22 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     total = 0.0
     try:
         for group in plan.groups:
-            blocks, block_of = group.blocks, group.block_of
-            count, dim = blocks.shape
+            blocks = group.blocks
             cov = sigma[blocks[:, :, None], blocks[:, None, :]]
-            chol = np.linalg.cholesky(cov)
-            prec = np.linalg.inv(cov)
-            prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+            chol = np.linalg.cholesky(cov)  # the definiteness test of every marginal
             mean = q.mean[blocks]
-            moments = []
-            per_chunk = max(1, CHUNK_POINTS // _n_points(rule, dim))
-            for start in range(0, len(group.factors), per_chunk):
-                rows = slice(start, start + per_chunk)
-                at = block_of[rows]
-
-                def stacked(points, formula=group.formula, params=group.params[rows]):
-                    return formula(points, params)
-
-                scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), stacked)
-                moments.append(np.column_stack([scalar, vector, matrix.reshape(len(at), -1)]))
-            width = 1 + dim + dim * dim
-            slots = (block_of[:, None] * width + np.arange(width)).ravel()
-            sums = np.bincount(slots, np.concatenate(moments).ravel(), count * width)
-            sums = sums.reshape(count, width)
-            scalar, vector = sums[:, 0], sums[:, 1 : 1 + dim]
-            matrix = sums[:, 1 + dim :].reshape(count, dim, dim)
-            hess = prec @ matrix @ prec
-            grads.append(np.einsum("kij,kj->ki", prec, vector).ravel())
-            hessians.append((0.5 * (hess + np.swapaxes(hess, 1, 2))).ravel())
-            total += float(scalar.sum())
-        for stack in plan.gaussians:
-            blocks, p = stack.blocks, stack.p
-            cov = sigma[blocks[:, :, None], blocks[:, None, :]]
-            np.linalg.cholesky(cov)  # the definiteness test of every marginal
-            resid = q.mean[blocks] - stack.m
-            p_resid = (p @ resid[:, :, None])[:, :, 0]
-            value = 0.5 * float(np.vdot(resid, p_resid) + np.vdot(p, cov))
-            if not math.isfinite(value):
-                # an overflow; the factor-by-factor sweep names the factor
-                raise EvaluationError(f"Gaussian factors have expected value {value!r}", node=q.mean[blocks])
-            grads.append(p_resid.ravel())
-            hessians.append(p.ravel())
+            if group.formula is quadratic:
+                m, hess = group.params
+                resid = mean - m
+                grad = (hess @ resid[:, :, None])[:, :, 0]
+                value = 0.5 * float(np.vdot(resid, grad) + np.vdot(hess, cov))
+                if not math.isfinite(value):
+                    # an overflow; the factor-by-factor sweep names the factor
+                    raise EvaluationError(f"Gaussian factors have expected value {value!r}", node=mean)
+            else:
+                value, grad, hess = _sweep(group, mean, cov, chol, rule)
+            grads.append(grad.ravel())
+            hessians.append(hess.ravel())
             total += value
     except (np.linalg.LinAlgError, EvaluationError, IntegrandShapeError):
         _raise_first_failure(graph, q.mean, sigma, rule)
@@ -446,6 +397,39 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     # is exactly symmetric
     bundle = DerivativeBundle(flat[:n], flat[n:].reshape(n, n), sigma)
     return total + 0.5 * _logdet_from_chol(q.chol), bundle
+
+
+def _sweep(group: _Group, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray, rule: ExpectationRule):
+    """Value, block gradients and block Hessians of a swept group, from
+    its blocks' means, covariances and Cholesky factors. Each chunk of
+    factors is swept by one ``expect_weighted`` call with one call of the
+    group's stacked integrand, which centres each factor's matrix moment,
+    and the moments are summed per block before the one map to
+    derivatives (they are linear in phi)."""
+    count, dim = group.blocks.shape
+    block_of = group.block_of
+    prec = np.linalg.inv(cov)
+    prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+    moments = []
+    per_chunk = max(1, CHUNK_POINTS // _n_points(rule, dim))
+    for start in range(0, len(group.factors), per_chunk):
+        rows = slice(start, start + per_chunk)
+        at = block_of[rows]
+
+        def stacked(points, formula=group.formula, params=group.params[rows]):
+            return formula(points, params)
+
+        scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), stacked)
+        moments.append(np.column_stack([scalar, vector, matrix.reshape(len(at), -1)]))
+    width = 1 + dim + dim * dim
+    slots = (block_of[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, np.concatenate(moments).ravel(), count * width)
+    sums = sums.reshape(count, width)
+    scalar, vector = sums[:, 0], sums[:, 1 : 1 + dim]
+    matrix = sums[:, 1 + dim :].reshape(count, dim, dim)
+    hess = prec @ matrix @ prec
+    grad = np.einsum("kij,kj->ki", prec, vector)
+    return float(scalar.sum()), grad, 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
 def _raise_first_failure(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._testing import random_gaussian, random_spd, random_symmetric, random_well_conditioned
-from .factors import Factor, FactorGraph, _quadratic_phi, optimize_factored
+from .factors import Factor, FactorGraph, optimize_factored
 from .fim import (
     PARAM_TAGS,
     _coords,
@@ -324,7 +324,7 @@ def _one_step_residual(rng: np.random.Generator, n: int, terms: int) -> float:
     ps = [random_spd(n, rng) for _ in range(terms)]
     prec_post = sum(ps)
     mean_post = np.linalg.solve(prec_post, sum(p @ m for p, m in zip(ps, ms)))
-    quadratics = [_quadratic_phi(m, p) for m, p in zip(ms, ps)]
+    quadratics = [Factor.gaussian("q", range(n), m, p).local_phi for m, p in zip(ms, ps)]
 
     def phi(x):
         return sum(q(x) for q in quadratics)
@@ -387,8 +387,8 @@ def fd_derivatives() -> list[CheckResult]:
     rng = np.random.default_rng(109)
     # a random quadratic and a fixed one, each from a random start
     quadratics = [
-        _quadratic_phi(rng.standard_normal(2), random_spd(2, rng)),
-        _quadratic_phi(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.5]])),
+        Factor.gaussian("q", (0, 1), rng.standard_normal(2), random_spd(2, rng)).local_phi,
+        Factor.gaussian("q", (0, 1), [0.3, -0.2], [[2.0, 0.5], [0.5, 1.5]]).local_phi,
     ]
     worst_quadratic = max(
         _fd_worst(q, MeanPrecision.from_dense(rng.standard_normal(2), random_spd(2, rng)), 5)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngvi import cli
+from ngvi import cli, factors
 from ngvi._testing import random_spd
 from ngvi.cli import (
     ProblemError,
-    build_phi,
+    build_factor,
     bundled_problem_names,
     load_problem,
     main,
@@ -23,6 +23,7 @@ from ngvi.cli import (
 )
 from ngvi.gaussian import MeanPrecision
 from ngvi.kronmat import SymmetricMatrix
+from ngvi.quadrature import ExpectationRule
 
 
 def file_hash(path):
@@ -53,19 +54,19 @@ def test_load_problem_unknown_name():
 
 def test_build_phi_unknown_kind():
     with pytest.raises(ProblemError) as excinfo:
-        build_phi("mystery", {}, 1, "f7")
+        build_factor("f7", (0,), "mystery", {})
     assert "f7" in str(excinfo.value)
 
 
 def test_build_phi_logistic():
-    phi = build_phi("logistic_bernoulli", {"feature": [2.0], "label": 1}, 1, "obs")
+    phi = build_factor("obs", (0,), "logistic_bernoulli", {"feature": [2.0], "label": 1}).local_phi
     t = 0.7
     expected = np.logaddexp(0.0, 2.0 * t) - 2.0 * t
     assert np.isclose(phi(np.array([[t]]))[0], expected, atol=1e-14)
 
 
 def test_build_phi_polynomial():
-    phi = build_phi("polynomial", {"coefficients": [1.0, 0.0, 2.0]}, 1, "p")
+    phi = build_factor("p", (0,), "polynomial", {"coefficients": [1.0, 0.0, 2.0]}).local_phi
     assert np.isclose(phi(np.array([[3.0]]))[0], 1.0 + 2.0 * 9.0, atol=1e-14)
 
 
@@ -427,6 +428,44 @@ def test_rule_kind_override_with_order_runs(tmp_path):
     assert manifest["rule"]["order"] == 10000
 
 
+def logistic_problem(features, rule=None):
+    """A logistic regression over ``features`` weights: a unit Gaussian
+    prior and 12 labelled observations, with the given ``rule`` if any."""
+    rng = np.random.default_rng(9)
+    d = features
+    entries = [{"id": "prior", "indices": list(range(d)),
+                "phi": {"kind": "gaussian_quadratic", "m": [0.0] * d, "P": np.eye(d).tolist()}}]
+    for k in range(12):
+        entries.append({"id": f"obs{k}", "indices": list(range(d)), "phi": {
+            "kind": "logistic_bernoulli", "feature": rng.standard_normal(d).tolist(), "label": k % 2}})
+    raw = {
+        "schema": "ngvi-problem/1",
+        "dimension": d,
+        "init": {"form": "mean_precision", "mean": [0.0] * d, "matrix_vech": SymmetricMatrix.from_full(np.eye(d)).half.tolist()},
+        "factors": entries,
+    }
+    if rule is not None:
+        raw["rule"] = rule
+    return raw
+
+
+def test_absent_rule_is_the_default_rule_of_the_largest_arity(tmp_path):
+    # GH 5 would need 5^9 points per factor, beyond the node budget; the
+    # Python API's default for arity 9 is GH 3
+    problem = tmp_path / "logreg9.json"
+    problem.write_text(json.dumps(logistic_problem(9)))
+    spec = load_problem(str(problem))
+    assert spec.rule is spec.config.rule
+    assert spec.rule == ExpectationRule("gauss_hermite", 3)
+    out = tmp_path / "out"
+    assert main(["run", str(problem), "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rule"] == {"kind": "gauss_hermite", "order": 3, "seed": 0}
+    # a partial rule object keeps the file defaults: GH 5, seed 0
+    assert parse_problem(logistic_problem(2, {})).rule == ExpectationRule("gauss_hermite", 5)
+    assert parse_problem(logistic_problem(2, {"seed": 4})).rule == ExpectationRule("gauss_hermite", 5, seed=4)
+
+
 def test_max_iters_exhaustion_exits_two(tmp_path):
     # logistic_1d needs ~11 iterations; 2 is not enough
     out = tmp_path / "out"
@@ -508,7 +547,7 @@ def test_build_phi_fuzz_rejects_malformed_parameters(case, data):
         target[slot] = replacement
 
     try:
-        build_phi(kind, params, n_indices, "fz")
+        build_factor("fz", tuple(range(n_indices)), kind, params).local_phi
     except ProblemError as exc:
         assert_names(str(exc), "fz", key)
     except Exception as exc:  # any other type is the failure under test
@@ -536,7 +575,7 @@ def test_build_phi_fuzz_rejects_malformed_parameters(case, data):
 )
 def test_build_phi_rejects_malformed_parameter(kind, params, n_indices, key):
     with pytest.raises(ProblemError) as excinfo:
-        build_phi(kind, params, n_indices, "f3")
+        build_factor("f3", tuple(range(n_indices)), kind, params).local_phi
     assert_names(str(excinfo.value), "f3", key)
 
 
@@ -638,8 +677,7 @@ def test_phi_fields_are_per_kind():
         ],
     }
     spec = parse_problem(raw)
-    assert [f.quadratic is not None for f in spec.graph.factors] == [True, False]
-    assert [f.kind is not None for f in spec.graph.factors] == [False, True]
+    assert [f.kind[0] for f in spec.graph.factors] == [factors.quadratic, cli.nonlinear_range]
 
 
 def test_directory_problem_path_exits_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd
-from ngvi.cli import build_factor, build_phi, load_problem
+from ngvi.cli import build_factor, load_problem
 from ngvi.factors import (
     CHUNK_POINTS,
     Factor,
@@ -68,16 +68,21 @@ def test_factor_validation():
 
 def test_gaussian_factor_records_its_quadratic():
     f = Factor.gaussian("g", [2, 0], [1.0, -1.0], [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
-    m, p = f.quadratic
+    formula, (m, p) = f.kind
+    assert formula is factors.quadratic
     assert f.indices == (2, 0) and np.array_equal(m, [1.0, -1.0]) and p[1, 0] == 0.5 + 1e-15
     assert not p.flags.writeable and not m.flags.writeable
     u = np.array([[0.5, 2.0], [-1.0, 0.0]])
     expected = [0.5 * (x - m) @ p @ (x - m) for x in u]
     assert np.allclose(f.local_phi(u), expected, rtol=1e-15, atol=0.0)
     # the assembly stacks the symmetric part, which keeps its Hessian exactly symmetric
-    stacked = FactorGraph(3, (f,))._plan.gaussians[0].p[0]
+    graph = FactorGraph(3, (f,))
+    (group,) = graph._plan.groups
+    stacked = group.params[1][0]
     assert np.array_equal(stacked, stacked.T) and stacked[1, 0] == 0.5 * (0.5 + (0.5 + 1e-15))
-    assert Factor("plain", (0,), f.local_phi).quadratic is None
+    hess = assemble(graph, MeanPrecision.from_dense(np.zeros(3), np.eye(3)), RULE5).hess
+    assert np.array_equal(hess, hess.T) and hess[0, 2] == stacked[1, 0]
+    assert Factor("plain", (0,), f.local_phi).kind is None
     with pytest.raises(ValueError, match="factor 'g'"):
         Factor.gaussian("g", (0, 1), [0.0], np.eye(2))
     with pytest.raises(ValueError, match="factor 'g'"):
@@ -259,7 +264,7 @@ def swept_factor(fid, indices, kind, params):
     that a Gaussian factor is built from its ``local_phi`` alone, so that
     every rule sweeps it as the per-factor reference does."""
     if kind == "gaussian_quadratic":
-        return Factor(fid, indices, build_phi(kind, params, len(indices), fid))
+        return Factor(fid, indices, build_factor(fid, indices, kind, params).local_phi)
     return build_factor(fid, indices, kind, params)
 
 
@@ -340,7 +345,7 @@ def test_closed_form_gaussians_match_their_sweep(data):
         if kind == "gaussian_quadratic":
             factor_list.append(Factor.gaussian(f"f{k}", indices, params["m"], params["P"]))
         else:
-            factor_list.append(Factor(f"f{k}", indices, build_phi(kind, params, arity, f"f{k}")))
+            factor_list.append(Factor(f"f{k}", indices, build_factor(f"f{k}", indices, kind, params).local_phi))
     graph = FactorGraph(dim, tuple(factor_list))
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
     # Gauss-Hermite of order 3 or more sweeps a quadratic exactly: its Stein
@@ -366,8 +371,8 @@ def test_closed_form_gaussians_match_their_sweep(data):
     ids=["gh5", "gh3", "gh2", "monte-carlo"],
 )
 def test_gaussian_local_phi_is_never_called(rule):
-    # nor is a kind row's: the assembly calls only the local_phi of a
-    # factor that records neither a quadratic nor a kind, once
+    # nor is any other kind row's: the assembly calls only the local_phi of
+    # a factor that records no kind, once
     graph = mixed_graph()
     counts = {}
 
@@ -381,7 +386,7 @@ def test_gaussian_local_phi_is_never_called(rule):
     for f in graph.factors:
         object.__setattr__(f, "local_phi", counted(f.id, f.local_phi))
     factors._assemble(graph, MeanPrecision.from_dense(np.full(4, 0.1), np.eye(4)), rule)
-    tagged = [f.id for f in graph.factors if f.quadratic is not None or f.kind is not None]
+    tagged = [f.id for f in graph.factors if f.kind is not None]
     assert len(tagged) == len(graph.factors) - 1
     assert counts == {"bare": 1}
 
@@ -466,12 +471,16 @@ def test_kind_tables_match_the_generic_path(data):
         assert rel(bundle.hess, ref.hess) <= 1e-12
 
 
-def test_all_gaussian_graph_sweeps_nothing():
+def test_all_gaussian_graph_sweeps_nothing(monkeypatch):
     spec = load_problem("linear_chain")
-    assert all(f.quadratic is not None for f in spec.graph.factors)
-    assert spec.graph._plan.groups == ()
-    value, bundle = factors._assemble(spec.graph, spec.init, RULE5)
+    assert all(f.kind[0] is factors.quadratic for f in spec.graph.factors)
     ref_value, ref = factors._assemble(untagged(spec.graph), spec.init, RULE5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the assembly swept a Gaussian factor")
+
+    monkeypatch.setattr(factors, "expect_weighted", forbidden)
+    value, bundle = factors._assemble(spec.graph, spec.init, RULE5)
     # the closed form is the exact expectation, whatever the rule
     for rule in (ExpectationRule("gauss_hermite", 1), ExpectationRule("monte_carlo", 8, seed=3)):
         other_value, other = factors._assemble(spec.graph, spec.init, rule)
@@ -487,7 +496,7 @@ def test_all_gaussian_graph_sweeps_nothing():
 def test_indefinite_gaussian_marginal_is_named(swept):
     factor_list = [Factor.gaussian("x1", (1,), [0.0], [[1.0]]), Factor.gaussian("pair", (0, 1), [0.0, 0.0], np.eye(2))]
     if swept:
-        factor_list.append(Factor("obs", (1,), build_phi("polynomial", {"coefficients": [0.0, 1.0]}, 1, "obs")))
+        factor_list.append(Factor("obs", (1,), build_factor("obs", (1,), "polynomial", {"coefficients": [0.0, 1.0]}).local_phi))
     graph = FactorGraph(2, tuple(factor_list))
     # the near-singular precision of test_cli: its squared pivot ratio is
     # 5.7e-17, so the iterate is refused before any marginal is sliced
@@ -517,7 +526,7 @@ def test_overflowing_gaussian_factor_fails_as_its_sweep():
 def random_factor(fid, indices, rng):
     arity = len(indices)
     kind = KINDS_BY_ARITY[arity][int(rng.integers(len(KINDS_BY_ARITY[arity])))]
-    return Factor(fid, indices, build_phi(kind, random_phi_params(kind, arity, rng), arity, fid))
+    return Factor(fid, indices, build_factor(fid, indices, kind, random_phi_params(kind, arity, rng)).local_phi)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -586,10 +595,10 @@ def test_assembly_factors_each_distinct_block_once(monkeypatch):
     rng = np.random.default_rng(15)
     kind = "logistic_bernoulli"
     observations = [
-        Factor(f"obs{k}", (0, 1, 2), build_phi(kind, random_phi_params(kind, 3, rng), 3, f"obs{k}"))
+        Factor(f"obs{k}", (0, 1, 2), build_factor(f"obs{k}", (0, 1, 2), kind, random_phi_params(kind, 3, rng)).local_phi)
         for k in range(300)
     ]
-    prior = build_phi("gaussian_quadratic", {"m": [0.0] * 3, "P": np.eye(3).tolist()}, 3, "prior")
+    prior = build_factor("prior", (0, 1, 2), "gaussian_quadratic", {"m": [0.0] * 3, "P": np.eye(3).tolist()}).local_phi
     graph = FactorGraph(3, (Factor("prior", (0, 1, 2), prior), *observations))
     q = MeanPrecision.from_dense(rng.standard_normal(3), random_spd(3, rng))
     factored = []
@@ -605,7 +614,7 @@ def test_assembly_factors_each_distinct_block_once(monkeypatch):
 
 
 def scalar_phi(kind, params, u):
-    """The per-point formula of each ``build_phi`` kind."""
+    """The per-point formula of each ``build_factor`` kind."""
     if kind == "gaussian_quadratic":
         d = u - np.array(params["m"])
         return float(0.5 * d @ np.array(params["P"]) @ d)
@@ -628,18 +637,23 @@ def test_batched_kinds_match_scalar_formulas(data):
     params = random_phi_params(kind, arity, rng)
     scale = data.draw(st.sampled_from([0.1, 1.0, 5.0]), label="scale")
     points = scale * rng.standard_normal((data.draw(st.integers(1, 40), label="points"), arity))
-    batched = build_phi(kind, params, arity, "f")(points)
+    batched = build_factor("f", tuple(range(arity)), kind, params).local_phi(points)
     expected = np.array([scalar_phi(kind, params, u) for u in points])
     assert batched.shape == expected.shape
     assert np.all(np.abs(batched - expected) <= 1e-14 * np.abs(expected))
-    if kind == "gaussian_quadratic":
-        return
-    # each factor's local_phi is bitwise its row of the stacked call, also
-    # when the rows' polynomial coefficients differ in length
+    # each factor's local_phi, the formula at K = 1, is bitwise its row of
+    # the stacked call, also when the rows' polynomial coefficients differ
+    # in length; the assembly sweeps that table for every kind but
+    # quadratic, whose groups it takes in closed form
     rows = [build_factor(f"f{k}", tuple(range(arity)), kind, random_phi_params(kind, arity, rng)) for k in range(5)]
     (group,) = FactorGraph(arity, tuple(rows))._plan.groups
+    formula = rows[0].kind[0]
+    table = factors._table([f.kind[1] for f in rows])
+    assert group.formula is formula
+    if formula is not factors.quadratic:
+        assert np.array_equal(group.params, table)
     stacked_points = scale * rng.standard_normal((5, points.shape[0], arity))
-    stacked = group.formula(stacked_points, group.params)
+    stacked = formula(stacked_points, table)
     assert stacked.shape == stacked_points.shape[:2]
     for f, u, row in zip(rows, stacked_points, stacked):
         assert np.array_equal(f.local_phi(u), row)
@@ -651,11 +665,11 @@ def test_batched_kinds_match_scalar_formulas(data):
     ids=["python-float", "column", "short", "0-d"],
 )
 def test_integrand_of_wrong_shape_names_factor(bad):
-    odo = build_phi("gaussian_quadratic", {"m": [0.0, 1.0], "P": [[1.0, -1.0], [-1.0, 1.0]]}, 2, "odo")
+    odo = build_factor("odo", (0, 1), "gaussian_quadratic", {"m": [0.0, 1.0], "P": [[1.0, -1.0], [-1.0, 1.0]]}).local_phi
     graph = FactorGraph(
         3,
         (
-            Factor("prior", (0,), build_phi("polynomial", {"coefficients": [0.0, 0.0, 0.5]}, 1, "prior")),
+            Factor("prior", (0,), build_factor("prior", (0,), "polynomial", {"coefficients": [0.0, 0.0, 0.5]}).local_phi),
             Factor("odo", (0, 1), odo),
             Factor("scalar", (1, 2), bad),
         ),
@@ -685,7 +699,7 @@ def test_nonfinite_value_reports_first_factor_in_graph_order():
     def nan_beyond(threshold, column):
         return lambda u: np.where(u[:, column] > threshold, np.nan, 0.5 * np.sum(u * u, axis=1))
 
-    fine = build_phi("gaussian_quadratic", {"m": [0.0, 0.0], "P": np.eye(2).tolist()}, 2, "fine")
+    fine = build_factor("fine", (0, 1), "gaussian_quadratic", {"m": [0.0, 0.0], "P": np.eye(2).tolist()}).local_phi
     graph = FactorGraph(
         5,
         (
