@@ -152,24 +152,42 @@ def _numbers(value, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# phi construction: each swept kind is one stacked formula, (K, P, d)
-# points and the (K, w) parameter table of K factors -> their (K, P) values
+# phi construction: each swept kind is one stacked formula, (K, P, r)
+# points and the (K, w) parameter table of K factors -> their (K, P)
+# values; a kind that reads only y = A u also names its projection, the
+# rows' (K, r, d) matrices A
 
 
-def logistic_bernoulli(u: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """log(1 + e^t) - y t for t = a^T u; a row is (a, y)."""
-    # one matrix-vector product per factor, so that a row's values do not
-    # depend on the rows stacked with it
-    t = (u @ params[:, :-1, None])[:, :, 0]
+def logistic_bernoulli(y: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) - label t at the projected points t = a^T u (K, P, 1);
+    a row is (a, label), and ``feature_row`` reads a from it."""
+    t = y[:, :, 0]
     return np.logaddexp(0.0, t) - params[:, -1:] * t
 
 
-def nonlinear_range(u: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """(r - distance)^2 / (2 variance), r the distance from (u_0, u_1) to
-    (u_2, u_3), or to a fixed landmark for 2 indices; a row is (distance,
-    variance) or (distance, variance, landmark)."""
-    other = u[:, :, 2:] if u.shape[2] == 4 else params[:, None, 2:]
-    r = np.hypot(u[:, :, 0] - other[:, :, 0], u[:, :, 1] - other[:, :, 1])
+def feature_row(table: np.ndarray) -> np.ndarray:
+    """The projection of logistic rows (a, label): each a as a (1, d) matrix."""
+    return table[:, None, :-1]
+
+
+_DIFFERENCE = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+_DIFFERENCE.setflags(write=False)
+
+
+def range_difference(table: np.ndarray) -> np.ndarray:
+    """The projection of 4-index range rows: (u_0 - u_2, u_1 - u_3), the
+    position pair minus the landmark pair."""
+    return np.broadcast_to(_DIFFERENCE, (table.shape[0], *_DIFFERENCE.shape))
+
+
+def nonlinear_range(y: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """(r - distance)^2 / (2 variance), r = |y - landmark| at 2-D points y:
+    the 2 indices of a fixed landmark's row (distance, variance, landmark),
+    or for 4 indices the ``range_difference`` of a position pair and a
+    landmark pair, whose row (distance, variance) has no landmark."""
+    if params.shape[1] > 2:
+        y = y - params[:, None, 2:]
+    r = np.hypot(y[:, :, 0], y[:, :, 1])
     return (r - params[:, :1]) ** 2 / (2.0 * params[:, 1:2])
 
 
@@ -206,7 +224,7 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
             raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
         if a.shape[0] != n_indices:
             raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
-        return Factor.of_kind(factor_id, indices, logistic_bernoulli, (a, label))
+        return Factor.of_kind(factor_id, indices, logistic_bernoulli, (a, label), feature_row)
     if kind == "nonlinear_range":
         distance = _number(params.get("distance"), field("distance"))
         variance = _number(params.get("variance"), field("variance"))
@@ -227,7 +245,7 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
                 f"{field('landmark')} is missing: range factors take 2 indices "
                 f"and a landmark, or 4 indices (position pair, landmark pair)"
             )
-        return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance))
+        return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance), range_difference)
     if kind == "polynomial":
         coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
         if coeffs.shape[0] == 0:

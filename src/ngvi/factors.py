@@ -14,10 +14,11 @@ exactly that.
 
 A factor's ``local_phi`` is a batched integrand (see ``ngvi.quadrature``):
 it maps the (P, d) evaluation points of its marginal to their P values.
-The assembly takes factors in groups of one formula and arity. A factor
-built by ``Factor.of_kind`` is one row of its kind's stacked formula,
-(K, P, d) points and a (K, w) parameter table to (K, P) values, and its
-``local_phi`` is that formula at K = 1; the rows of one group are stacked
+The assembly takes factors in groups of one formula, projection and
+arity. A factor built by ``Factor.of_kind`` is one row of its kind's
+stacked formula, (K, P, r) points and a (K, w) parameter table to (K, P)
+values, and its ``local_phi`` is that formula, composed with the kind's
+projection if it has one, at K = 1; the rows of one group are stacked
 once per graph. The factors built from a ``local_phi`` alone form one
 generic group per arity, whose stacked integrand calls each factor's
 ``local_phi`` once. The path is read from each factor's record, so
@@ -37,15 +38,27 @@ more) would sweep it to the same numbers up to rounding; a lower order or
 Monte Carlo would only approximate them.
 
 Any other group records its distinct blocks (factors over the same tuple
-share one) once per graph. Per iteration it inverts each block and sweeps
-the factors in chunks of at most ``CHUNK_POINTS`` points: one
-``expect_weighted`` call per chunk, which makes one call of the group's
-stacked integrand. The derivatives are linear in phi, so the moments are
-summed per block and mapped to derivatives once per block:
-prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the Hessian, from the
-Stein moment the sweep returns centred, and prec E[(x - mu) phi] for the
-gradient. One scatter per iteration adds every block into the global
-gradient and Hessian.
+share one) once per graph, and sweeps its factors in chunks of at most
+``CHUNK_POINTS`` points: one ``expect_weighted`` call per chunk, which
+makes one call of the group's stacked integrand. The derivatives are
+linear in phi, so the moments of a group swept in its d dimensions are
+summed per block and mapped to derivatives once per block, through the
+block's inverse: prec E[((x - mu)(x - mu)^T - Sigma) phi] prec for the
+Hessian, from the Stein moment the sweep returns centred, and
+prec E[(x - mu) phi] for the gradient.
+
+A ridge group is a kind whose formula reads only y = A u, r < d: a
+logistic row reads t = a^T u (r = 1) and a 4-index range row the
+difference of its position and landmark pairs (r = 2). Its factors are
+swept in y ~ N(A mu_k, S), S = A Sigma_k A^T, and each factor's moments
+map straight to its derivatives, A^T S^-1 E[(y - m) phi] and
+A^T S^-1 E[((y - m)(y - m)^T - S) phi] S^-1 A, which are summed per block;
+no block inverse is taken. Under Gauss-Hermite of order p a ridge group
+takes order min(20, p + d - r) in y, one more node per dimension the
+projection removes; Monte Carlo keeps its sample count and seed. A row
+whose A is zero reads one constant value and adds no derivatives. One
+scatter per iteration adds every block into the global gradient and
+Hessian.
 
 Precision matrices are stored densely at desk scale; the sparsity claim
 is about the pattern of stored nonzeros, which is checked exactly.
@@ -54,8 +67,8 @@ is about the pattern of stored nonzeros, which is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,8 +124,9 @@ class Factor:
     ``local_phi`` maps (P, len(indices)) points to their P values.
 
     ``Factor.of_kind`` builds one row of a stacked formula and records the
-    formula and the row's parameters in ``kind``; ``Factor.gaussian`` builds
-    the row (m, P) of the formula ``quadratic``. A factor built from a
+    formula, the row's parameters and the kind's projection (or None) in
+    ``kind``; ``Factor.gaussian`` builds the row (m, P) of the formula
+    ``quadratic``. A factor built from a
     ``local_phi`` alone records no kind, and the assembly calls its
     ``local_phi``.
     """
@@ -120,7 +134,7 @@ class Factor:
     id: str
     indices: tuple[int, ...]
     local_phi: Callable[[np.ndarray], np.ndarray]
-    kind: tuple[Callable, tuple] | None = field(default=None, init=False, repr=False)
+    kind: tuple[Callable, tuple, Callable | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         indices = tuple(map(int, self.indices))
@@ -151,17 +165,38 @@ class Factor:
         return cls.of_kind(id, indices, quadratic, (m, p))
 
     @classmethod
-    def of_kind(cls, id: str, indices, formula, params: tuple) -> "Factor":
-        """One factor of a kind: ``formula`` maps the points (K, P, d) of K
+    def of_kind(cls, id: str, indices, formula, params: tuple, projection=None) -> "Factor":
+        """One factor of a kind: ``formula`` maps the points (K, P, r) of K
         factors and their parameter table (K, w) to the (K, P) values, and
         ``params`` holds this factor's numbers and arrays, the parts of its
-        row. The assembly stacks the rows of every factor of one formula
-        and arity once per graph and sweeps them with one call per chunk,
-        or takes them in closed form for ``quadratic``; ``local_phi`` is the
-        formula at K = 1, so the two cannot disagree."""
-        factor = cls(id, indices, lambda u: formula(u[None], _table([params]))[0])
-        object.__setattr__(factor, "kind", (formula, params))
+        row. A kind whose formula reads only y = A u names ``projection``,
+        which maps the table to the rows' (K, r, d) matrices A; the formula
+        then takes the projected points, and without a projection r = d and
+        y = u. The assembly stacks the rows of every factor of one kind and
+        arity once per graph and sweeps them with one call per chunk, in r
+        dimensions where r < d, or takes them in closed form for
+        ``quadratic``; ``local_phi`` is the formula composed with the
+        projection at K = 1, so the two cannot disagree."""
+        factor = cls(id, indices, partial(_row_phi, formula, params, projection))
+        object.__setattr__(factor, "kind", (formula, params, projection))
         return factor
+
+
+def _row_phi(formula, params: tuple, projection, u: np.ndarray) -> np.ndarray:
+    """The values (P,) of one row at its points u (P, d): the formula,
+    composed with the projection, at K = 1. A partial of it is each
+    kind row's ``local_phi``, which a parse builds once per factor."""
+    return _through(formula, projection)(u[None], _table([params]))[0]
+
+
+def _through(formula, projection):
+    """The stacked formula of the points u (K, P, d): ``formula`` composed
+    with the rows' projection y = A u, or ``formula`` itself without one."""
+    if projection is None:
+        return formula
+    # one matrix product per row, so that a row's values do not depend on
+    # the rows stacked with it
+    return lambda u, table: formula(u @ np.swapaxes(projection(table), 1, 2), table)
 
 
 def quadratic(u: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -218,21 +253,21 @@ class FactorGraph:
     @cached_property
     def _plan(self) -> "_Plan":
         """The assembly plan, built once per graph on first use: the
-        factors grouped by formula and arity, in order of first appearance,
-        the closed-form ``quadratic`` groups after the swept ones. The path
-        is read from each factor's record, never from its ``local_phi``,
-        which a caller may wrap."""
+        factors grouped by formula, projection and arity, in order of first
+        appearance, the closed-form ``quadratic`` groups after the swept
+        ones. The path is read from each factor's record, never from its
+        ``local_phi``, which a caller may wrap."""
         grouped: dict[tuple, list[Factor]] = {}
         for f in self.factors:
-            formula = _each_phi if f.kind is None else f.kind[0]
-            grouped.setdefault((formula, len(f.indices)), []).append(f)
+            kind = (_each_phi, None) if f.kind is None else (f.kind[0], f.kind[2])
+            grouped.setdefault((*kind, len(f.indices)), []).append(f)
         keys = sorted(grouped, key=lambda key: key[0] is quadratic)
-        groups = tuple(_group(key[0], grouped[key]) for key in keys)
+        groups = tuple(_group(key[0], key[1], grouped[key]) for key in keys)
         return _Plan(groups, _scatter_index(self.dim, groups))
 
 
 class _Group(NamedTuple):
-    """Factors of one formula and arity and their blocks."""
+    """Factors of one formula, projection and arity and their blocks."""
 
     factors: tuple[Factor, ...]
     # (B, d) ordered index tuples: one per factor for ``quadratic``, else
@@ -240,11 +275,15 @@ class _Group(NamedTuple):
     blocks: np.ndarray
     # (K,) the block of each factor
     block_of: np.ndarray
-    # the stacked integrand (K, P, d) points, params -> (K, P) values, and
+    # the stacked integrand (K, P, r) points, params -> (K, P) values, and
     # its params: the (K, w) table of a kind, the factors themselves, or
     # for ``quadratic`` the stacked m and symmetric P of the closed form
     formula: Callable[[np.ndarray, object], np.ndarray]
     params: np.ndarray | tuple
+    # the rows' (K, r, d) projections of a ridge group, r < d, whose
+    # formula takes the projected points; None where the points are the
+    # d-dimensional u
+    ridge: np.ndarray | None = None
 
 
 class _Plan(NamedTuple):
@@ -258,10 +297,12 @@ class _Plan(NamedTuple):
     scatter_index: np.ndarray
 
 
-def _group(formula, factors) -> _Group:
+def _group(formula, projection, factors) -> _Group:
     """The group of these factors, in graph order, with its blocks and
     params. The stacked P of a ``quadratic`` group is symmetrized here,
-    once per graph."""
+    once per graph, and so are a ridge group's projections stacked; a
+    projection that keeps every dimension (r = d) is folded into the
+    formula of the points u instead."""
     indices = np.array([f.indices for f in factors], dtype=np.intp)
     factors = tuple(factors)
     if formula is quadratic:
@@ -269,8 +310,22 @@ def _group(formula, factors) -> _Group:
         params = (np.array([f.kind[1][0] for f in factors]), 0.5 * (p + np.swapaxes(p, 1, 2)))
         return _Group(factors, indices, np.arange(len(factors)), formula, params)
     blocks, block_of = np.unique(indices, axis=0, return_inverse=True)
-    params = factors if formula is _each_phi else _table([f.kind[1] for f in factors])
-    return _Group(factors, blocks, block_of.reshape(-1), formula, params)
+    if formula is _each_phi:
+        return _Group(factors, blocks, block_of.reshape(-1), formula, factors)
+    table = _table([f.kind[1] for f in factors])
+    ridge = _ridge(projection, table)
+    if ridge is None:
+        formula = _through(formula, projection)
+    return _Group(factors, blocks, block_of.reshape(-1), formula, table, ridge)
+
+
+def _ridge(projection, table: np.ndarray) -> np.ndarray | None:
+    """The (K, r, d) projections of the rows of a table where they drop
+    dimensions, r < d, else None: the rows are then swept in u."""
+    if projection is None:
+        return None
+    ridge = np.ascontiguousarray(projection(table))
+    return ridge if ridge.shape[1] < ridge.shape[2] else None
 
 
 def _scatter_index(n: int, groups) -> np.ndarray:
@@ -354,7 +409,8 @@ def _assemble(graph: FactorGraph, q, rule: ExpectationRule) -> tuple[float, Deri
     marginal for definiteness. A ``quadratic`` group adds, per factor,
     0.5 r^T P r + 0.5 tr(P Sigma_k) to the value, P r to the gradient and
     its constant P to the Hessian, for r = mu_k - m; any other group is
-    swept (``_sweep``). Every block's derivatives then go into one scatter.
+    swept (``_sweep``), a ridge group in its projection. Every block's
+    derivatives then go into one scatter.
     The bundle carries the covariance the marginals were sliced from.
     """
     q = convert(q, "mean_prec")
@@ -403,33 +459,69 @@ def _sweep(group: _Group, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray, r
     """Value, block gradients and block Hessians of a swept group, from
     its blocks' means, covariances and Cholesky factors. Each chunk of
     factors is swept by one ``expect_weighted`` call with one call of the
-    group's stacked integrand, which centres each factor's matrix moment,
-    and the moments are summed per block before the one map to
-    derivatives (they are linear in phi)."""
+    group's stacked integrand, which centres each factor's matrix moment.
+    The derivatives are linear in phi, so a d-dimensional group sums its
+    moments per block before the one map to derivatives per block; a
+    ridge group maps each factor's moments in y = A u to derivatives,
+    A^T S^-1 E[(y - m) phi] and A^T S^-1 E[((y - m)(y - m)^T - S) phi]
+    S^-1 A, and sums those per block."""
     count, dim = group.blocks.shape
     block_of = group.block_of
-    prec = np.linalg.inv(cov)
-    prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+    if group.ridge is None:
+        means, chols = mean[block_of], chol[block_of]
+    else:
+        means, chols, maps = _project(group.ridge, mean[block_of], chol[block_of])
+        rule = _ridge_rule(rule, dim, means.shape[1])
     moments = []
-    per_chunk = max(1, CHUNK_POINTS // _n_points(rule, dim))
+    per_chunk = max(1, CHUNK_POINTS // _n_points(rule, means.shape[1]))
     for start in range(0, len(group.factors), per_chunk):
         rows = slice(start, start + per_chunk)
-        at = block_of[rows]
 
         def stacked(points, formula=group.formula, params=group.params[rows]):
             return formula(points, params)
 
-        scalar, vector, matrix = expect_weighted(rule, (mean[at], chol[at]), stacked)
-        moments.append(np.column_stack([scalar, vector, matrix.reshape(len(at), -1)]))
+        scalar, vector, matrix = expect_weighted(rule, (means[rows], chols[rows]), stacked)
+        if group.ridge is not None:
+            vector = np.einsum("kri,kr->ki", maps[rows], vector)
+            matrix = np.swapaxes(maps[rows], 1, 2) @ matrix @ maps[rows]
+        moments.append(np.column_stack([scalar, vector, matrix.reshape(len(scalar), -1)]))
     width = 1 + dim + dim * dim
     slots = (block_of[:, None] * width + np.arange(width)).ravel()
     sums = np.bincount(slots, np.concatenate(moments).ravel(), count * width)
     sums = sums.reshape(count, width)
-    scalar, vector = sums[:, 0], sums[:, 1 : 1 + dim]
-    matrix = sums[:, 1 + dim :].reshape(count, dim, dim)
-    hess = prec @ matrix @ prec
-    grad = np.einsum("kij,kj->ki", prec, vector)
+    scalar, grad = sums[:, 0], sums[:, 1 : 1 + dim]
+    hess = sums[:, 1 + dim :].reshape(count, dim, dim)
+    if group.ridge is None:
+        prec = np.linalg.inv(cov)
+        prec = 0.5 * (prec + np.swapaxes(prec, 1, 2))
+        hess = prec @ hess @ prec
+        grad = np.einsum("kij,kj->ki", prec, grad)
     return float(scalar.sum()), grad, 0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def _ridge_rule(rule: ExpectationRule, dim: int, rank: int) -> ExpectationRule:
+    """The rule of a ridge group, which sweeps d-dimensional marginals in r
+    dimensions: Gauss-Hermite of order p takes order min(20, p + d - r),
+    one more node per dimension the projection removes, and Monte Carlo
+    keeps its sample count and seed."""
+    if rule.kind == "monte_carlo":
+        return rule
+    return replace(rule, order=min(20, rule.order + dim - rank))
+
+
+def _project(ridge: np.ndarray, mean: np.ndarray, chol: np.ndarray):
+    """The projections y = A u of K marginals, means (K, d) and covariance
+    factors (K, d, d), through their rows' matrices A (K, r, d): the means
+    A mu (K, r), a factor of each covariance S = (A L)(A L)^T (K, r, r),
+    and the maps S^-1 A (K, r, d) of y moments to derivatives. A zero A
+    reads one constant value, its y being 0 at every node, so its factor
+    and map are 0 and it adds only its value."""
+    b = ridge @ chol
+    s = b @ np.swapaxes(b, 1, 2)
+    live = s.any(axis=(1, 2))[:, None, None]
+    s = np.where(live, s, np.eye(s.shape[1]))
+    means = (ridge @ mean[:, :, None])[:, :, 0]
+    return means, np.linalg.cholesky(s) * live, np.linalg.solve(s, ridge) * live
 
 
 def _raise_first_failure(
@@ -442,13 +534,32 @@ def _raise_first_failure(
         idx = np.array(f.indices, dtype=np.intp)
         chol = _chol(sigma[np.ix_(idx, idx)], f"marginal covariance of factor {f.id!r}")
         try:
-            expect_weighted(rule, (mean[idx], chol), f.local_phi)
+            expect_weighted(*_alone(f, mean[idx], chol, rule))
         except IntegrandShapeError as exc:
             raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
 
 
+def _alone(f: Factor, mean: np.ndarray, chol: np.ndarray, rule: ExpectationRule):
+    """The rule, Gaussian and integrand that sweep one factor as its group
+    sweeps it: a factor of a ridge group in y = A u under the group's rule,
+    any other over its marginal (mean, covariance factor)."""
+    ridge = None if f.kind is None else _ridge(f.kind[2], _table([f.kind[1]]))
+    if ridge is None:
+        return rule, (mean, chol), f.local_phi
+    try:
+        m, s_chol, _ = _project(ridge, mean[None], chol[None])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            f"projected covariance of factor {f.id!r} is not positive definite"
+        ) from None
+    formula, table = f.kind[0], _table([f.kind[1]])
+    return _ridge_rule(rule, len(mean), ridge.shape[1]), (m[0], s_chol[0]), lambda y: formula(y[None], table)[0]
+
+
 def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:
-    """Global derivative bundle scatter-added from per-factor derivatives."""
+    """Global derivative bundle scatter-added from per-factor derivatives,
+    each group under the rule a solve gives it (a ridge group's own
+    Gauss-Hermite order included)."""
     return _assemble(graph, q, rule)[1]
 
 

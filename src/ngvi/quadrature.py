@@ -30,7 +30,10 @@ L E[z f] and L E[(z z^T - I) f] L^T.
 
 A factor built by ``factors.Factor.gaussian`` is never swept here: its
 expectations have a closed form, which ``ngvi.factors`` takes under every
-rule.
+rule. A factor whose kind reads only a projection y = A u of its r < d
+dimensions (logistic rows, 4-index range rows) is swept here in y, the
+r-dimensional Gaussian N(A mu, A Sigma A^T), so its node table has
+order^r points, not order^d.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class ExpectationRule:
     ``order`` is points per dimension for gauss_hermite and total sample
     count for monte_carlo. The tensor grid must stay within
     ``POINT_BUDGET``; ``seed`` keys the Monte Carlo draws and must be
-    non-negative.
+    non-negative. ``ngvi.factors`` sweeps a ridge group, whose kind reads
+    r < d projected dimensions, with Gauss-Hermite of order
+    min(20, order + d - r) per projected dimension.
     """
 
     kind: str = "gauss_hermite"

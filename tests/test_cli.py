@@ -23,7 +23,7 @@ from ngvi.cli import (
 )
 from ngvi.gaussian import MeanPrecision
 from ngvi.kronmat import SymmetricMatrix
-from ngvi.quadrature import ExpectationRule
+from ngvi.quadrature import POINT_BUDGET, ExpectationRule
 
 
 def file_hash(path):
@@ -450,8 +450,7 @@ def logistic_problem(features, rule=None):
 
 
 def test_absent_rule_is_the_default_rule_of_the_largest_arity(tmp_path):
-    # GH 5 would need 5^9 points per factor, beyond the node budget; the
-    # Python API's default for arity 9 is GH 3
+    # the Python API's default for arity 9 is GH 3
     problem = tmp_path / "logreg9.json"
     problem.write_text(json.dumps(logistic_problem(9)))
     spec = load_problem(str(problem))
@@ -464,6 +463,23 @@ def test_absent_rule_is_the_default_rule_of_the_largest_arity(tmp_path):
     # a partial rule object keeps the file defaults: GH 5, seed 0
     assert parse_problem(logistic_problem(2, {})).rule == ExpectationRule("gauss_hermite", 5)
     assert parse_problem(logistic_problem(2, {"seed": 4})).rule == ExpectationRule("gauss_hermite", 5, seed=4)
+
+
+def test_wide_logistic_rows_sweep_within_the_node_budget(tmp_path):
+    # each 9-feature row is swept in t = a^T u, where GH 5 takes 5 + 8 = 13
+    # nodes, not on the 5^9-point tensor grid, which exceeds POINT_BUDGET
+    assert 5**9 > POINT_BUDGET
+    problem = tmp_path / "logreg9.json"
+    problem.write_text(json.dumps(logistic_problem(9, {"kind": "gauss_hermite", "order": 5})))
+    out = tmp_path / "out"
+    assert main(["run", str(problem), "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rule"] == {"kind": "gauss_hermite", "order": 5, "seed": 0} and manifest["converged"]
+    # the same rows built from their local_phi alone need that grid
+    spec = load_problem(str(problem))
+    bare = factors.FactorGraph(9, tuple(factors.Factor(f.id, f.indices, f.local_phi) for f in spec.graph.factors))
+    with pytest.raises(ValueError, match="5\\^9 points exceeds budget"):
+        factors.optimize_factored(bare, spec.init, spec.config)
 
 
 def test_max_iters_exhaustion_exits_two(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd
-from ngvi.cli import build_factor, load_problem
+from ngvi.cli import build_factor, feature_row, load_problem
 from ngvi.factors import (
     CHUNK_POINTS,
     Factor,
@@ -68,8 +68,8 @@ def test_factor_validation():
 
 def test_gaussian_factor_records_its_quadratic():
     f = Factor.gaussian("g", [2, 0], [1.0, -1.0], [[2.0, 0.5], [0.5 + 1e-15, 1.0]])
-    formula, (m, p) = f.kind
-    assert formula is factors.quadratic
+    formula, (m, p), projection = f.kind
+    assert formula is factors.quadratic and projection is None
     assert f.indices == (2, 0) and np.array_equal(m, [1.0, -1.0]) and p[1, 0] == 0.5 + 1e-15
     assert not p.flags.writeable and not m.flags.writeable
     u = np.array([[0.5, 2.0], [-1.0, 0.0]])
@@ -214,9 +214,22 @@ def test_pattern_mask_matches_the_pair_set(dim, seed):
     assert found == pattern_violations(prec, pattern)
 
 
+def ridge_of(f):
+    """The (r, d) projection of a factor whose kind sweeps it in r < d
+    dimensions, else None."""
+    if f.kind is None or f.kind[2] is None:
+        return None
+    a = f.kind[2](factors._table([f.kind[1]]))[0]
+    return a if a.shape[0] < a.shape[1] else None
+
+
 def reference_assemble(graph, q, rule):
     """One dense solve per factor through the public extract_marginal: the
-    per-factor assembly that slicing one covariance replaced."""
+    per-factor assembly that slicing one covariance replaced. A ridge
+    factor's marginal is projected to y = A u, N(A mu, A Sigma A^T), and
+    swept there under Gauss-Hermite of p + d - r points per dimension (or
+    the same Monte Carlo draws); its y moments map to A^T S^-1 E[(y - m) f]
+    and A^T S^-1 E[((y - m)(y - m)^T - S) f] S^-1 A."""
     n = graph.dim
     grad_mu = np.zeros(n)
     hess_mu = np.zeros((n, n))
@@ -224,11 +237,23 @@ def reference_assemble(graph, q, rule):
     for f in graph.factors:
         idx = list(f.indices)
         marginal = extract_marginal(q, idx)
-        prec_k = np.linalg.inv(marginal.cov.full())
-        prec_k = 0.5 * (prec_k + prec_k.T)
-        scalar, vector, matrix = expect_weighted(rule, marginal, f.local_phi)
-        local_hess = prec_k @ matrix @ prec_k
-        grad_mu[idx] += prec_k @ vector
+        a = ridge_of(f)
+        if a is None:
+            a, f_rule, phi, y = np.eye(len(idx)), rule, f.local_phi, marginal
+        else:
+            order = rule.order if rule.kind == "monte_carlo" else min(20, rule.order + a.shape[1] - a.shape[0])
+            f_rule = ExpectationRule(rule.kind, order, rule.seed)
+            table = factors._table([f.kind[1]])
+
+            def phi(u, formula=f.kind[0], table=table):
+                return formula(u[None], table)[0]
+
+            y = MeanCovariance.from_dense(a @ marginal.mean, a @ marginal.cov.full() @ a.T)
+        s_inv = np.linalg.inv(y.cov.full())
+        s_inv = 0.5 * (s_inv + s_inv.T)
+        scalar, vector, matrix = expect_weighted(f_rule, y, phi)
+        local_hess = a.T @ s_inv @ matrix @ s_inv @ a
+        grad_mu[idx] += a.T @ s_inv @ vector
         hess_mu[np.ix_(idx, idx)] += 0.5 * (local_hess + local_hess.T)
         total += scalar
     sigma = np.linalg.inv(q.prec.full())
@@ -392,13 +417,16 @@ def test_gaussian_local_phi_is_never_called(rule):
 
 
 def mixed_graph():
-    """A factor of every form: Gaussian, each swept kind (the range kind
-    in both forms, polynomials of two lengths) and a bare local_phi."""
+    """A factor of every form: Gaussian, each swept kind (logistic rows of
+    1 to 3 features, the range kind in both forms, polynomials of two
+    lengths) and a bare local_phi."""
     return FactorGraph(
         4,
         (
             build_factor("prior", (0, 1, 2, 3), "gaussian_quadratic", {"m": [0.0] * 4, "P": np.eye(4).tolist()}),
             build_factor("logit", (0, 2), "logistic_bernoulli", {"feature": [1.0, -0.5], "label": 1}),
+            build_factor("logit3", (0, 1, 3), "logistic_bernoulli", {"feature": [0.5, 0.25, -1.0], "label": 0}),
+            build_factor("flat", (2,), "logistic_bernoulli", {"feature": [0.75], "label": 1}),
             build_factor("range", (0, 1, 2, 3), "nonlinear_range", {"distance": 1.5, "variance": 0.5}),
             build_factor("beacon", (2, 3), "nonlinear_range", {"distance": 1.0, "variance": 0.3, "landmark": [1.0, 0.5]}),
             build_factor("quartic", (1,), "polynomial", {"coefficients": [0.0, 0.3, 1.0, 0.0, 0.1]}),
@@ -413,6 +441,8 @@ def test_wrapped_phis_leave_the_assembly_bitwise_unchanged(rule):
     # perfbench/tracing.py's wrap_phis replaces every factor's local_phi
     # with a timing wrapper before a traced solve; the assembly must take
     # the same path, and so write the same bytes, as an untraced solve
+    # the multi-feature logistic rows and the 4-index range row are swept
+    # in their projections, the others in all their dimensions
     rng = np.random.default_rng(16)
     q = MeanPrecision.from_dense(rng.standard_normal(4), random_spd(4, rng))
     value, bundle = factors._assemble(mixed_graph(), q, rule)
@@ -429,6 +459,8 @@ def test_wrapped_phis_leave_the_assembly_bitwise_unchanged(rule):
     for f in graph.factors:
         object.__setattr__(f, "local_phi", timed(f.local_phi))
     wrapped_value, wrapped = factors._assemble(graph, q, rule)
+    ridge = [f.id for group in graph._plan.groups if group.ridge is not None for f in group.factors]
+    assert sorted(ridge) == ["logit", "logit3", "range"]
     assert wrapped_value == value
     for name in ("grad_mu", "hess", "cov"):
         assert np.array_equal(getattr(wrapped, name), getattr(bundle, name)), name
@@ -438,9 +470,11 @@ def test_wrapped_phis_leave_the_assembly_bitwise_unchanged(rule):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_kind_tables_match_the_generic_path(data):
-    # every swept kind at each arity it takes, polynomials of 1 to 6
-    # coefficients in one table, and optionally 400 more arity-2 factors of
-    # one kind: a group larger than one chunk under GH 5 and Monte Carlo 64
+    # every swept kind at each arity at which it keeps all d dimensions (a
+    # ridge group integrates in fewer, see test_ridge_rule_*), polynomials
+    # of 1 to 6 coefficients in one table, and optionally 400 more arity-2
+    # range factors: a group larger than one chunk under GH 5 and Monte
+    # Carlo 64
     dim = data.draw(st.integers(4, 8), label="dim")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     extra = data.draw(st.sampled_from([0, 400]), label="extra arity-2 factors")
@@ -448,14 +482,14 @@ def test_kind_tables_match_the_generic_path(data):
     for k in range(1, 7):
         index = (int(rng.integers(dim)),)
         factor_list.append(build_factor(f"p{k}", index, "polynomial", {"coefficients": rng.standard_normal(k).tolist()}))
-    shapes = [(arity, kind) for arity, kinds in KINDS_BY_ARITY.items() for kind in kinds if kind != "gaussian_quadratic"]
-    many = data.draw(st.sampled_from(shapes[2:4]), label="extra kind")[1]
-    for k, (arity, kind) in enumerate(shapes * 2 + [(2, many)] * extra):
+    shapes = [(1, "logistic_bernoulli"), (1, "polynomial"), (2, "nonlinear_range")]
+    for k, (arity, kind) in enumerate(shapes * 2 + [(2, "nonlinear_range")] * extra):
         indices = tuple(int(i) for i in rng.choice(dim, arity, replace=False))
         factor_list.append(build_factor(f"f{k}", indices, kind, random_phi_params(kind, arity, rng)))
     graph = FactorGraph(dim, tuple(factor_list))
     assert all(f.kind is not None for f in graph.factors)
     assert len(graph._plan.groups) == len(shapes)
+    assert all(group.ridge is None for group in graph._plan.groups)
     if extra:
         assert max(len(g.factors) for g in graph._plan.groups) * 25 > CHUNK_POINTS
     q = MeanPrecision.from_dense(rng.standard_normal(dim), random_spd(dim, rng))
@@ -469,6 +503,76 @@ def test_kind_tables_match_the_generic_path(data):
         assert rel(value, ref_value) <= 1e-12
         assert rel(bundle.grad_mu, ref.grad_mu) <= 1e-12
         assert rel(bundle.hess, ref.hess) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ridge_rule_matches_high_order_tensor_grids(data):
+    # 3-feature logistic rows swept in t = a^T u (1-D) and 4-index range
+    # rows in (u_0 - u_2, u_1 - u_3) (2-D), against the same rows on the
+    # 3-D and 4-D tensor grids of GH 12, over random marginals of a
+    # posterior's spread: covariance eigenvalues 0.005 to 0.02, and each
+    # landmark pair 2 from its position pair. Over 40 seeds the GH 10 rule
+    # (12 nodes per projected dimension) stayed within 2.1e-12 of the
+    # reference, and the GH 5 rule (7 nodes) closer than the GH 5 tensor
+    # grid by at least 2.7x.
+    kind, dim, rank = data.draw(st.sampled_from([("logistic_bernoulli", 3, 1), ("nonlinear_range", 4, 2)]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = [build_factor(f"f{k}", tuple(range(dim)), kind, random_phi_params(kind, dim, rng)) for k in range(5)]
+    graph = FactorGraph(dim, tuple(rows))
+    (group,) = graph._plan.groups
+    assert group.ridge.shape == (5, rank, dim)
+    mean = rng.standard_normal(dim)
+    if kind == "nonlinear_range":
+        mean[:2] *= 0.3
+        mean[2:] = mean[:2] + 2.0 * mean[2:] / np.linalg.norm(mean[2:])
+    q = MeanPrecision.from_dense(mean, 100.0 * random_spd(dim, rng))
+    ref_value, ref = factors._assemble(untagged(graph), q, ExpectationRule("gauss_hermite", 12))
+
+    def error(value, bundle):
+        return max(
+            abs(value - ref_value) / abs(ref_value),
+            np.max(np.abs(bundle.grad_mu - ref.grad_mu)) / np.max(np.abs(ref.grad_mu)),
+            np.max(np.abs(bundle.hess - ref.hess)) / np.max(np.abs(ref.hess)),
+        )
+
+    assert error(*factors._assemble(graph, q, ExpectationRule("gauss_hermite", 10))) <= 1e-10
+    tensor = error(*factors._assemble(untagged(graph), q, RULE5))
+    assert error(*factors._assemble(graph, q, RULE5)) <= tensor
+
+
+def test_zero_feature_row_adds_its_constant_value():
+    # a logistic row whose feature is all zeros reads t = 0 at every point,
+    # so S = a^T Sigma a = 0 has no inverse: the row adds log 2 and no
+    # derivatives, as the tensor path finds
+    zeros = [build_factor(f"zero{k}", (0, 1, 2), "logistic_bernoulli", {"feature": [0.0] * 3, "label": k}) for k in (0, 1)]
+    prior = Factor.gaussian("prior", (0, 1, 2), np.zeros(3), np.eye(3))
+    rng = np.random.default_rng(18)
+    q = MeanPrecision.from_dense(rng.standard_normal(3), random_spd(3, rng))
+    graph = FactorGraph(3, (prior, *zeros))
+    (group,) = [group for group in graph._plan.groups if group.ridge is not None]
+    assert not group.ridge.any()
+    for rule in (RULE5, ExpectationRule("gauss_hermite", 2), ExpectationRule("monte_carlo", 64, seed=3)):
+        value, bundle = factors._assemble(graph, q, rule)
+        if rule.kind == "gauss_hermite":  # Monte Carlo draws of z average to 0 only roughly
+            ref_value, ref = factors._assemble(FactorGraph(3, (prior, *untagged(graph).factors[1:])), q, rule)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.max(np.abs(bundle.grad_mu - ref.grad_mu)) <= 1e-12 * np.max(np.abs(ref.grad_mu))
+            assert np.max(np.abs(bundle.hess - ref.hess)) <= 1e-12 * np.max(np.abs(ref.hess))
+        alone_value, alone = factors._assemble(FactorGraph(3, (prior,)), q, rule)
+        assert value == pytest.approx(alone_value + 2.0 * np.log(2.0), rel=1e-15)
+        assert np.array_equal(bundle.grad_mu, alone.grad_mu) and np.array_equal(bundle.hess, alone.hess)
+    # and it leaves a logistic regression's solve as it is without it
+    observations = tuple(
+        build_factor(f"obs{k}", (0, 1, 2), "logistic_bernoulli", random_phi_params("logistic_bernoulli", 3, rng))
+        for k in range(40)
+    )
+    start = MeanPrecision.from_dense(np.zeros(3), np.eye(3))
+    cfg = NgdConfig(rule=RULE5)
+    q, trace = optimize_factored(FactorGraph(3, (prior, *zeros, *observations)), start, cfg)
+    q_ref, trace_ref = optimize_factored(FactorGraph(3, (prior, *observations)), start, cfg)
+    assert trace.converged and len(trace.records) == len(trace_ref.records)
+    assert np.array_equal(q.mean, q_ref.mean) and np.array_equal(q.prec.half, q_ref.prec.half)
 
 
 def test_all_gaussian_graph_sweeps_nothing(monkeypatch):
@@ -509,6 +613,24 @@ def test_indefinite_gaussian_marginal_is_named(swept):
     q = MeanPrecision.from_dense(np.zeros(2), np.eye(2))
     vars(q)["covariance"] = np.diag([1.0, -1e-3])
     with pytest.raises(NotPositiveDefiniteError, match="factor 'x1'"):
+        factors._assemble(graph, q, RULE5)
+
+
+def test_indefinite_projected_covariance_is_named(monkeypatch):
+    # S = (A L)(A L)^T of a 4-index range row is positive definite when its
+    # block is, but can fail its Cholesky by rounding when the block is
+    # nearly singular; such a failure names the factor like a block's
+    graph = FactorGraph(4, (build_factor("range", (0, 1, 2, 3), "nonlinear_range", {"distance": 1.0, "variance": 0.5}),))
+    cholesky = np.linalg.cholesky
+
+    def failing_on_projections(a):
+        if np.shape(a)[-2:] == (2, 2):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_on_projections)
+    q = MeanPrecision.from_dense(np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4))
+    with pytest.raises(NotPositiveDefiniteError, match="projected covariance of factor 'range'"):
         factors._assemble(graph, q, RULE5)
 
 
@@ -641,19 +763,25 @@ def test_batched_kinds_match_scalar_formulas(data):
     expected = np.array([scalar_phi(kind, params, u) for u in points])
     assert batched.shape == expected.shape
     assert np.all(np.abs(batched - expected) <= 1e-14 * np.abs(expected))
-    # each factor's local_phi, the formula at K = 1, is bitwise its row of
-    # the stacked call, also when the rows' polynomial coefficients differ
-    # in length; the assembly sweeps that table for every kind but
-    # quadratic, whose groups it takes in closed form
+    # each factor's local_phi, the formula composed with its projection at
+    # K = 1, is bitwise its row of the stacked call, also when the rows'
+    # polynomial coefficients differ in length; the assembly sweeps that
+    # table for every kind but quadratic, whose groups it takes in closed
+    # form, in the projected points where the projection drops dimensions
     rows = [build_factor(f"f{k}", tuple(range(arity)), kind, random_phi_params(kind, arity, rng)) for k in range(5)]
     (group,) = FactorGraph(arity, tuple(rows))._plan.groups
-    formula = rows[0].kind[0]
+    formula, _, projection = rows[0].kind
     table = factors._table([f.kind[1] for f in rows])
-    assert group.formula is formula
     if formula is not factors.quadratic:
         assert np.array_equal(group.params, table)
+    ridge = {"logistic_bernoulli": arity > 1, "nonlinear_range": arity == 4}.get(kind, False)
+    assert (group.ridge is not None) == ridge
+    if ridge:
+        assert group.formula is formula and np.array_equal(group.ridge, projection(table))
+    elif projection is None:
+        assert group.formula is formula
     stacked_points = scale * rng.standard_normal((5, points.shape[0], arity))
-    stacked = formula(stacked_points, table)
+    stacked = factors._through(formula, projection)(stacked_points, table)
     assert stacked.shape == stacked_points.shape[:2]
     for f, u, row in zip(rows, stacked_points, stacked):
         assert np.array_equal(f.local_phi(u), row)
@@ -734,6 +862,35 @@ def test_nonfinite_value_reports_first_factor_in_graph_order():
     assert "inf" in message
     assert str(excinfo.value) == message
     assert np.array_equal(excinfo.value.node, node)
+    # A ridge row fails: the bare arity-2 group is swept first and fails at
+    # 'late', which 'early', a 4-index row swept in t = a^T u, precedes. The
+    # error is the one the ridge sweep meets: at a 1-D node t of GH 8, the
+    # order GH 5 takes for a group that drops 3 dimensions.
+    def t_nan_beyond(t, table):
+        return np.where(t[:, :, 0] > table[:, -1:], np.nan, 0.5 * t[:, :, 0] ** 2)
+
+    # the threshold lies beyond every GH 5 node and before the last GH 8 one
+    a, idx = np.array([0.5, -1.0, 0.25, 1.0]), [1, 2, 3, 4]
+    m, sd = a @ q.mean[idx], np.sqrt(a @ q.covariance[np.ix_(idx, idx)] @ a)
+    t = m + sd * _gh_table(8, 1)[0][:, 0]
+    threshold = m + 3.5 * sd
+    assert np.max(m + sd * _gh_table(5, 1)[0]) < threshold < np.max(t)
+    node = t[np.argmax(t > threshold)]
+    graph = FactorGraph(
+        5,
+        (
+            Factor("calm", (3, 4), lambda u: np.cosh(u[:, 0])),
+            Factor.of_kind("early", idx, t_nan_beyond, (a, threshold), feature_row),
+            Factor("late", (3, 4), nan_beyond(0.1, 1)),
+        ),
+    )
+    (ridge,) = [group for group in graph._plan.groups if group.ridge is not None]
+    assert ridge.factors == graph.factors[1:2]
+    with pytest.raises(EvaluationError) as excinfo:
+        factors._assemble(graph, q, RULE5)
+    assert "nan) at node [" in str(excinfo.value)
+    assert excinfo.value.node.shape == (1,)
+    assert excinfo.value.node[0] == pytest.approx(node, rel=1e-12)
 
 
 def test_single_full_factor_matches_unfactored_loss():
