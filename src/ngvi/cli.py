@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -78,11 +79,18 @@ class ProblemSpec:
 
 
 def _fmt(values) -> str:
-    """The values, 17 significant digits each, space-separated. One
-    ``%`` over the Python floats of ``tolist`` gives the text of
-    ``format(float(v), ".17g")`` per value at half its cost."""
-    values = np.asarray(values, dtype=float).reshape(-1).tolist()
-    return " ".join(["%.17g"] * len(values)) % tuple(values)
+    """The values, 17 significant digits each, space-separated: the text
+    of ``format(float(v), ".17g")`` per value. Each +0.0 is written "0"
+    unformatted, which matters for a precision on a sparse pattern, and
+    one ``%`` over the Python floats of ``tolist`` formats the others at
+    half the cost of ``format``."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    signed = np.flatnonzero((values != 0.0) | np.signbit(values))  # every value but +0.0
+    rest = values[signed].tolist()
+    text = ["0"] * values.size
+    for k, formatted in zip(signed.tolist(), ("%.17g " * len(rest) % tuple(rest)).split()):
+        text[k] = formatted
+    return " ".join(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +139,34 @@ def _number(value, where: str) -> float:
     raise ProblemError(f"{where} must be a number, found {value!r}")
 
 
-def _finite_numbers(value) -> bool:
-    """True for a finite JSON number or nested lists of them (booleans excluded)."""
+def _json_numbers(value) -> bool:
+    """True for a JSON number or nested lists of them (booleans excluded)."""
     if type(value) is not list:
-        return type(value) in _NUMBER_TYPES and math.isfinite(value)
+        return type(value) in _NUMBER_TYPES
     kinds = set(map(type, value))
-    if kinds <= _NUMBER_TYPES:
-        return all(map(math.isfinite, value))
-    return kinds == {list} and all(map(_finite_numbers, value))
+    return kinds <= _NUMBER_TYPES or (kinds == {list} and all(map(_json_numbers, value)))
 
 
 def _numbers(value, where: str) -> np.ndarray:
     """A finite JSON number or a rectangular array of them, as floats."""
     try:
-        if _finite_numbers(value):
-            return np.asarray(value, dtype=float)
+        if _json_numbers(value):
+            array = np.asarray(value, dtype=float)
+            if np.isfinite(array).all():
+                return array
     except (ValueError, OverflowError):  # ragged nesting, or an integer beyond float range
         pass
     raise ProblemError(f"{where} must be a finite number or a rectangular array of them, found {value!r}")
+
+
+def _vector(value, where: str) -> np.ndarray:
+    """A finite JSON number or a flat array of them, as a 1-D float array."""
+    array = _numbers(value, where)
+    if array.ndim > 1:
+        raise ProblemError(
+            f"{where} must be a finite number or a flat array of them, found an array of shape {array.shape}"
+        )
+    return array.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +236,7 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
         return f"{owner}field {key!r}"
 
     if kind == "logistic_bernoulli":
-        a = _numbers(params.get("feature"), field("feature")).reshape(-1)
+        a = _vector(params.get("feature"), field("feature"))
         label = _number(params.get("label"), field("label"))
         if label not in (0.0, 1.0):
             raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
@@ -233,7 +251,7 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
         if not 0.0 < variance < math.inf:
             raise ProblemError(f"{field('variance')} must be finite and positive, found {variance!r}")
         if params.get("landmark") is not None:
-            point = _numbers(params["landmark"], field("landmark")).reshape(-1)
+            point = _vector(params["landmark"], field("landmark"))
             if point.shape[0] != 2 or n_indices != 2:
                 raise ProblemError(
                     f"{field('landmark')}: fixed-landmark range factors take "
@@ -247,7 +265,7 @@ def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
             )
         return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance), range_difference)
     if kind == "polynomial":
-        coeffs = _numbers(params.get("coefficients"), field("coefficients")).reshape(-1)
+        coeffs = _vector(params.get("coefficients"), field("coefficients"))
         if coeffs.shape[0] == 0:
             raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
         if n_indices != 1:
@@ -262,7 +280,7 @@ def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.
     def field(key: str) -> str:
         return f"factor {factor_id!r}: field {key!r}"
 
-    m = _numbers(params.get("m"), field("m")).reshape(-1)
+    m = _vector(params.get("m"), field("m"))
     p = _numbers(params.get("P"), field("P"))
     if m.shape[0] != n_indices:
         raise ProblemError(f"{field('m')} must have one entry per index ({n_indices})")
@@ -276,13 +294,178 @@ def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.
 
 
 # ---------------------------------------------------------------------------
+# factor entries: a structural pass over every entry, then the parameters
+# of each group of one kind and row shape checked and converted at once;
+# a group that fails sends the whole list back through ``build_factor``
+
+
+def _entry(position: int, entry, positions: dict) -> tuple[str, list, object, dict]:
+    """The id, indices, phi kind and phi object of the entry at ``position``
+    of 'factors', which must pass the structural checks; ``positions``
+    maps each id seen so far to its position and gains this one."""
+    if not isinstance(entry, dict):
+        raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
+    # a set test first, so that the field name is formatted only for a refusal
+    if not entry.keys() <= FACTOR_FIELDS:
+        _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
+    factor_id = entry.get("id")
+    if type(factor_id) is not str or not factor_id:
+        raise ProblemError(
+            f"field 'factors[{position}].id' must be a nonempty string, found {factor_id!r}"
+        )
+    if factor_id in positions:
+        raise ProblemError(
+            f"field 'factors[{position}].id': {factor_id!r} repeats factors[{positions[factor_id]}]"
+        )
+    positions[factor_id] = position
+    indices = entry.get("indices", [])
+    if type(indices) is not list or not set(map(type, indices)) <= {int}:
+        raise ProblemError(
+            f"factor {factor_id!r}: field 'indices' must be an array of integers, found {indices!r}"
+        )
+    phi_raw = entry.get("phi", {})
+    if not isinstance(phi_raw, dict):
+        raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
+    kind = phi_raw.get("kind")
+    if isinstance(kind, str) and kind in PHI_FIELDS and not phi_raw.keys() <= PHI_FIELDS[kind]:
+        _refuse_unknown(phi_raw, f"factors[{position}].phi", PHI_FIELDS[kind])
+    return factor_id, indices, kind, phi_raw
+
+
+def _parse_factors(entries: list) -> list[Factor]:
+    """The factors of the entries of 'factors', in file order. Every entry
+    passes its structural checks, and then each group of one kind, arity
+    and row shape is checked and built at once (``_stacked_factors``).
+    Where any check fails, or a row takes a form that does not stack (a
+    number for a 1-vector, say), the entries are built one by one through
+    ``build_factor``, which raises the refusal of the first failing entry
+    in file order or builds the same factors."""
+    positions = {}
+    try:
+        rows = [_entry(position, entry, positions) for position, entry in enumerate(entries)]
+        factors = _stacked_factors(rows)
+    except (ValueError, OverflowError):  # a refusal, or an integer beyond float range
+        factors = None
+    if factors is not None:
+        return factors
+    positions = {}
+    factors = []
+    for position, entry in enumerate(entries):
+        try:
+            factors.append(build_factor(*_entry(position, entry, positions)))
+        except ProblemError:
+            raise
+        except ValueError as exc:  # from Factor's index checks, which name the factor
+            raise ProblemError(f"field 'indices': {exc}") from None
+    return factors
+
+
+def _stacked_factors(rows: list[tuple]) -> list[Factor] | None:
+    """The factors of the checked entries (id, indices, kind, phi), built
+    per group of one kind, arity and row shape by the kind's function in
+    ``_STACKED``; None where a kind is unknown or a group fails a check.
+    Each makes the records ``build_factor`` makes."""
+    groups = {}
+    for position, (_, indices, kind, phi) in enumerate(rows):
+        if type(kind) is not str or kind not in _STACKED:
+            return None
+        coefficients = phi.get("coefficients")
+        count = len(coefficients) if type(coefficients) is list else None
+        key = (kind, len(indices), count, phi.get("landmark") is not None)
+        groups.setdefault(key, []).append(position)
+    factors = [None] * len(rows)
+    for (kind, arity, *_), positions in groups.items():
+        built = _STACKED[kind]([rows[k] for k in positions], arity)
+        if built is None:
+            return None
+        for k, factor in zip(positions, built):
+            factors[k] = factor
+    return factors
+
+
+def _stack(column: list, depth: int) -> np.ndarray | None:
+    """One field of a group's rows, each a JSON number (``depth`` 0) or
+    lists nested ``depth`` deep over JSON numbers, as one finite float
+    array (K, ...): one type check per level of the flattened lists and
+    one conversion. None if a row holds anything else or a non-finite
+    number; rows of unequal shapes raise ValueError."""
+    leaves = column
+    for _ in range(depth):
+        if set(map(type, leaves)) != {list}:
+            return None
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= _NUMBER_TYPES:
+        return None
+    array = np.array(column, dtype=float)
+    return array if np.isfinite(array).all() else None
+
+
+def _stacked_quadratic(rows: list[tuple], arity: int) -> list[Factor] | None:
+    m = _stack([phi.get("m") for *_, phi in rows], 1)
+    p = _stack([phi.get("P") for *_, phi in rows], 2)
+    if m is None or p is None or m.shape[1:] != (arity,) or p.shape[1:] != (arity, arity):
+        return None
+    check_symmetric(p)
+    return [Factor.gaussian(factor_id, indices, mk, pk) for (factor_id, indices, *_), mk, pk in zip(rows, m, p)]
+
+
+def _stacked_logistic(rows: list[tuple], arity: int) -> list[Factor] | None:
+    a = _stack([phi.get("feature") for *_, phi in rows], 1)
+    label = _stack([phi.get("label") for *_, phi in rows], 0)
+    if a is None or label is None or a.shape[1:] != (arity,) or not ((label == 0.0) | (label == 1.0)).all():
+        return None
+    return [
+        Factor.of_kind(factor_id, indices, logistic_bernoulli, (ak, lk), feature_row)
+        for (factor_id, indices, *_), ak, lk in zip(rows, a, label.tolist())
+    ]
+
+
+def _stacked_range(rows: list[tuple], arity: int) -> list[Factor] | None:
+    distance = _stack([phi.get("distance") for *_, phi in rows], 0)
+    variance = _stack([phi.get("variance") for *_, phi in rows], 0)
+    fixed = rows[0][3].get("landmark") is not None
+    if distance is None or variance is None or (distance < 0.0).any() or (variance <= 0.0).any():
+        return None
+    if arity != (2 if fixed else 4):
+        return None
+    distance, variance = distance.tolist(), variance.tolist()
+    if not fixed:
+        return [
+            Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk), range_difference)
+            for (factor_id, indices, *_), dk, vk in zip(rows, distance, variance)
+        ]
+    point = _stack([phi["landmark"] for *_, phi in rows], 1)
+    if point is None or point.shape[1:] != (2,):
+        return None
+    return [
+        Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk, pk))
+        for (factor_id, indices, *_), dk, vk, pk in zip(rows, distance, variance, point)
+    ]
+
+
+def _stacked_polynomial(rows: list[tuple], arity: int) -> list[Factor] | None:
+    coeffs = _stack([phi.get("coefficients") for *_, phi in rows], 1)
+    if coeffs is None or coeffs.shape[1] == 0 or arity != 1:
+        return None
+    return [Factor.of_kind(factor_id, indices, polynomial, (c,)) for (factor_id, indices, *_), c in zip(rows, coeffs)]
+
+
+_STACKED = {
+    "gaussian_quadratic": _stacked_quadratic,
+    "logistic_bernoulli": _stacked_logistic,
+    "nonlinear_range": _stacked_range,
+    "polynomial": _stacked_polynomial,
+}
+
+
+# ---------------------------------------------------------------------------
 # problem parsing
 
 
 def _parse_init(raw: dict, dimension: int) -> MeanPrecision:
     form = raw.get("form")
-    mean = _numbers(raw.get("mean"), "field 'init.mean'").reshape(-1)
-    half = _numbers(raw.get("matrix_vech"), "field 'init.matrix_vech'").reshape(-1)
+    mean = _vector(raw.get("mean"), "field 'init.mean'")
+    half = _vector(raw.get("matrix_vech"), "field 'init.matrix_vech'")
     if mean.shape[0] != dimension:
         raise ProblemError(
             f"field 'init.mean': length {mean.shape[0]} != dimension {dimension}"
@@ -328,41 +511,7 @@ def parse_problem(raw: dict, name: str = "<unnamed>") -> ProblemSpec:
     entries = raw.get("factors", [])
     if not isinstance(entries, list):
         raise ProblemError(f"field 'factors' must be a JSON array, found {type(entries).__name__}")
-    factors = []
-    positions = {}  # factor id -> its position in 'factors'
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ProblemError(f"field 'factors[{position}]' must be a JSON object")
-        # a set test first, so that the field name is formatted only for a refusal
-        if not entry.keys() <= FACTOR_FIELDS:
-            _refuse_unknown(entry, f"factors[{position}]", FACTOR_FIELDS)
-        factor_id = entry.get("id")
-        if type(factor_id) is not str or not factor_id:
-            raise ProblemError(
-                f"field 'factors[{position}].id' must be a nonempty string, found {factor_id!r}"
-            )
-        if factor_id in positions:
-            raise ProblemError(
-                f"field 'factors[{position}].id': {factor_id!r} repeats factors[{positions[factor_id]}]"
-            )
-        positions[factor_id] = position
-        indices = entry.get("indices", [])
-        if type(indices) is not list or not set(map(type, indices)) <= {int}:
-            raise ProblemError(
-                f"factor {factor_id!r}: field 'indices' must be an array of integers, found {indices!r}"
-            )
-        phi_raw = entry.get("phi", {})
-        if not isinstance(phi_raw, dict):
-            raise ProblemError(f"factor {factor_id!r}: field 'phi' must be a JSON object")
-        kind = phi_raw.get("kind")
-        if isinstance(kind, str) and kind in PHI_FIELDS and not phi_raw.keys() <= PHI_FIELDS[kind]:
-            _refuse_unknown(phi_raw, f"factors[{position}].phi", PHI_FIELDS[kind])
-        try:
-            factors.append(build_factor(factor_id, indices, kind, phi_raw))
-        except ProblemError:
-            raise
-        except ValueError as exc:  # from Factor's index checks, which name the factor
-            raise ProblemError(f"field 'indices': {exc}") from None
+    factors = _parse_factors(entries)
     if not factors:
         raise ProblemError("field 'factors': at least one factor is required")
     try:
@@ -442,10 +591,8 @@ def write_trace(path: str, trace) -> None:
     last = len(trace.records) - 1
     for i, rec in enumerate(trace.records):
         converged = 1 if (trace.converged and i == last) else 0
-        lines.append(
-            f"{rec.iteration}\t{_fmt(rec.value)}\t{_fmt(rec.grad_norm)}"
-            f"\t{int(rec.accepted)}\t{converged}"
-        )
+        # the value and gradient norm are scalars: one %.17g each, the text of _fmt
+        lines.append("%d\t%.17g\t%.17g\t%d\t%d" % (rec.iteration, rec.value, rec.grad_norm, rec.accepted, converged))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

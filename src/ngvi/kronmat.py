@@ -62,13 +62,17 @@ def _vech_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_symmetric(a: np.ndarray) -> None:
-    """Raise AsymmetricMatrixError unless max|A - A^T| <= SYMMETRY_RTOL * max(1, max|A|)."""
-    scale = max(1.0, float(np.abs(a).max()))
-    gap = float(np.abs(a - a.T).max())
-    if gap > SYMMETRY_RTOL * scale:
+    """Raise AsymmetricMatrixError unless max|A - A^T| <= SYMMETRY_RTOL * max(1, max|A|),
+    for one matrix or each of a stack (..., d, d); the message holds the
+    numbers of the first matrix that fails."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    gap = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+    failed = np.flatnonzero(gap > SYMMETRY_RTOL * scale)
+    if failed.size:
+        k = failed[0]
         raise AsymmetricMatrixError(
-            f"matrix is asymmetric: max|A - A^T| = {gap:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.1e} * {scale:.3e}"
+            f"matrix is asymmetric: max|A - A^T| = {float(gap.flat[k]):.3e} "
+            f"exceeds {SYMMETRY_RTOL:.1e} * {float(scale.flat[k]):.3e}"
         )
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +149,35 @@ def test_estimate_text_is_the_per_value_format(tmp_path):
     ]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
     assert "-0 0 4.9406564584124654e-324" in expected[2] and " -0 " in expected[3]
+
+
+def test_sparse_estimate_text_is_the_per_value_format(tmp_path):
+    # a precision of 300 variables that is mostly +0.0, the form the
+    # factor pattern gives it, with -0.0, subnormals and 17-digit values
+    # off the diagonal
+    n = 300
+    rng = np.random.default_rng(4)
+    prec = np.diag(rng.uniform(10.0, 20.0, n))  # diagonally dominant: definite
+    specials = [-0.0, 5e-324, -2.5e-310, 1 / 3, -0.1, 2.2250738585072014e-308, 1e-300, -0.12345678901234568]
+    for k, (i, j) in enumerate(zip(rng.choice(n, 400), rng.choice(n, 400))):
+        if i != j:
+            prec[i, j] = prec[j, i] = specials[k % len(specials)]
+    mean = np.zeros(n)
+    mean[::7] = -0.0
+    mean[3::11] = rng.standard_normal(len(mean[3::11]))
+    q = MeanPrecision(mean, SymmetricMatrix.from_full(prec))
+    path = tmp_path / "estimate.txt"
+    write_estimate(str(path), q)
+    expected = [
+        "# ngvi-estimate/1",
+        f"# dimension {n}",
+        "mean " + " ".join(format(float(x), ".17g") for x in q.mean),
+        "prec_vech " + " ".join(format(float(x), ".17g") for x in q.prec.half),
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    zeros = q.prec.half == 0.0
+    assert zeros.mean() > 0.98 and np.signbit(q.prec.half[zeros]).any()
+    assert " -0 " in expected[2] and " 4.9406564584124654e-324 " in expected[3]
 
 
 def _bundled_path(name):
@@ -587,6 +618,14 @@ def test_build_phi_fuzz_rejects_malformed_parameters(case, data):
         pytest.param("nonlinear_range", {"distance": NAN, "variance": 0.1}, 4, "distance", id="nan-distance"),
         pytest.param("nonlinear_range", {"distance": -1.0, "variance": 0.1}, 4, "distance", id="negative-distance"),
         pytest.param("nonlinear_range", {"distance": 1.0, "variance": INF}, 4, "variance", id="inf-variance"),
+        # a vector field is one number or a flat array, never a nested one
+        pytest.param("polynomial", {"coefficients": [[0, 0], [1, 0]]}, 1, "coefficients", id="nested-coefficients"),
+        pytest.param("gaussian_quadratic", {"m": [[0, 0]], "P": [[1.0, 0.0], [0.0, 1.0]]}, 2, "m", id="nested-m"),
+        pytest.param("logistic_bernoulli", {"feature": [[1.0], [2.0]], "label": 1}, 2, "feature", id="nested-feature"),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0.1, "landmark": [[0.0, 1.0]]}, 2, "landmark",
+            id="nested-landmark",
+        ),
     ],
 )
 def test_build_phi_rejects_malformed_parameter(kind, params, n_indices, key):
@@ -645,6 +684,19 @@ def _drop(path):
         ),
         pytest.param(_set(["init", "mean", 0], NAN), "'init.mean'", id="nan-init-mean"),
         pytest.param(_set(["init", "matrix_vech", 0], "1.5"), "'init.matrix_vech'", id="string-init-vech"),
+        pytest.param(_set(["init", "mean"], [[0.0, 0.0], [0.0, 0.0]]), "'init.mean'", id="nested-init-mean"),
+        pytest.param(_set(["init", "matrix_vech"], [[1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 1.0]]),
+                     "'init.matrix_vech'", id="nested-init-vech"),
+        pytest.param(_set(["factors", 1, "phi", "m"], [[0.0, 1.0]]), "'m'", id="nested-m"),
+        pytest.param(_set(["factors", 0, "phi"], {"kind": "polynomial", "coefficients": [[0.0, 0.0], [1.0, 0.0]]}),
+                     "'coefficients'", id="nested-coefficients"),
+        pytest.param(_set(["factors", 1, "phi"], {"kind": "logistic_bernoulli", "feature": [[1.0, 0.0]], "label": 1}),
+                     "'feature'", id="nested-feature"),
+        pytest.param(
+            _set(["factors", 1, "phi"],
+                 {"kind": "nonlinear_range", "distance": 1.0, "variance": 0.1, "landmark": [[0.0, 1.0]]}),
+            "'landmark'", id="nested-landmark",
+        ),
         pytest.param(_set(["config", "rel_tol"], "1e-9"), "'config.rel_tol'", id="string-rel-tol"),
         pytest.param(_set(["config", "rel_tol"], NAN), "'config'", id="nan-rel-tol"),
         pytest.param(_set(["config", "jitter"], INF), "'config'", id="inf-jitter"),
@@ -694,6 +746,188 @@ def test_phi_fields_are_per_kind():
     }
     spec = parse_problem(raw)
     assert [f.kind[0] for f in spec.graph.factors] == [factors.quadratic, cli.nonlinear_range]
+
+
+# ---------------------------------------------------------------------------
+# each kind's parameters are checked and built in bulk, to the records and
+# refusals of the per-entry checks and build_factor
+
+PARITY_DIMENSION = 4
+JSON_NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5), st.just(-0.0))
+POSITIVE_NUMBERS = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5))
+
+
+@st.composite
+def phi_entry(draw):
+    """One well-formed factor entry of any kind, its values JSON numbers."""
+    form = draw(st.sampled_from(["gaussian_quadratic", "logistic_bernoulli", "range2", "range4", "polynomial"]))
+    arity = {"range2": 2, "range4": 4, "polynomial": 1}.get(form) or draw(st.integers(1, PARITY_DIMENSION))
+    indices = draw(st.permutations(range(PARITY_DIMENSION)))[:arity]
+    vector = st.lists(JSON_NUMBERS, min_size=arity, max_size=arity)
+    if form == "gaussian_quadratic":
+        p = [[None] * arity for _ in range(arity)]
+        for i in range(arity):
+            for j in range(i + 1):
+                p[i][j] = p[j][i] = draw(JSON_NUMBERS)
+        if arity > 1 and draw(st.booleans()):
+            p[0][1] = float(p[1][0]) * (1 + 2.0**-45)  # asymmetric within the tolerance
+        phi = {"kind": form, "m": draw(vector), "P": p}
+    elif form == "logistic_bernoulli":
+        phi = {"kind": form, "feature": draw(vector), "label": draw(st.sampled_from([0, 1, 0.0, 1.0, -0.0]))}
+    elif form == "polynomial":
+        phi = {"kind": form, "coefficients": draw(st.lists(JSON_NUMBERS, min_size=1, max_size=6))}
+    else:
+        phi = {"kind": "nonlinear_range", "distance": draw(st.one_of(POSITIVE_NUMBERS, st.just(0))),
+               "variance": draw(POSITIVE_NUMBERS)}
+        if form == "range2":
+            phi["landmark"] = draw(st.lists(JSON_NUMBERS, min_size=2, max_size=2))
+    return {"indices": indices, "phi": phi}
+
+
+@st.composite
+def parity_problem(draw):
+    entries = draw(st.lists(phi_entry(), min_size=1, max_size=14))
+    for k, entry in enumerate(entries):
+        entry["id"] = f"f{k}"
+        # a repeated index set, shared with an earlier entry of the same arity
+        earlier = [e["indices"] for e in entries[:k] if len(e["indices"]) == len(entry["indices"])]
+        if earlier and draw(st.booleans()):
+            entry["indices"] = list(draw(st.sampled_from(earlier)))
+    n = PARITY_DIMENSION
+    identity_vech = SymmetricMatrix.from_full(np.eye(n)).half.tolist()
+    return {
+        "schema": "ngvi-problem/1",
+        "dimension": n,
+        "init": {"form": "mean_precision", "mean": [0.0] * n, "matrix_vech": identity_vech},
+        "factors": entries,
+    }
+
+
+def per_entry_factors(raw):
+    """The factors of ``raw['factors']`` built entry by entry, in file order,
+    through the structural checks and ``build_factor``, as ``parse_problem``
+    words a refusal."""
+    positions, built = {}, []
+    try:
+        for position, entry in enumerate(raw["factors"]):
+            built.append(build_factor(*cli._entry(position, entry, positions)))
+        factors.FactorGraph(raw["dimension"], tuple(built))
+    except ProblemError:
+        raise
+    except ValueError as exc:
+        raise ProblemError(f"field 'indices': {exc}") from None
+    return built
+
+
+def assert_same_record(f, expected):
+    assert (f.id, f.indices) == (expected.id, expected.indices)
+    assert f.kind[0] is expected.kind[0] and f.kind[2] is expected.kind[2]
+    assert len(f.kind[1]) == len(expected.kind[1])
+    for part, want in zip(f.kind[1], expected.kind[1]):
+        assert type(part) is type(want)
+        if isinstance(want, np.ndarray):
+            assert (part.dtype, part.shape, part.flags.writeable) == (want.dtype, want.shape, want.flags.writeable)
+        # bitwise, so a -0.0 must stay -0.0
+        assert np.asarray(part).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raw=parity_problem())
+def test_bulk_parse_builds_the_records_of_build_factor(raw):
+    raw = json.loads(json.dumps(raw))  # the problem as a file holds it
+    expected = per_entry_factors(raw)
+    # every group of a well-formed file is built in bulk, not entry by entry
+    with mock.patch.object(cli, "build_factor", side_effect=AssertionError("built entry by entry")):
+        spec = parse_problem(raw)
+    assert len(spec.graph.factors) == len(expected)
+    for f, want in zip(spec.graph.factors, expected):
+        assert_same_record(f, want)
+
+
+# numbers that are JSON numbers but out of a parameter's range
+OUT_OF_RANGE = {"label": [0.5, 2, -1], "distance": [-5e-324], "variance": [0, -0.0]}
+ARRAYS = {"m", "P", "feature", "landmark", "coefficients"}
+
+
+def _corrupt_structure(rnd, raw, position):
+    entry = raw["factors"][position]
+    forms = ["not-object", "unknown-key", "empty-id", "number-id", "phi-number", "unknown-phi-key", "kind"]
+    if rnd.random() < 0.5:
+        forms = ["fractional-indices", "repeated-indices", "negative-index", "out-of-range-index", "other-arity"]
+    form = rnd.choice(forms + ["repeated-id"] * (position > 0))
+    indices = entry["indices"]
+    if form == "not-object":
+        raw["factors"][position] = [entry["id"]]
+    elif form == "unknown-key":
+        entry["colour"] = "red"
+    elif form in ("empty-id", "number-id"):
+        entry["id"] = "" if form == "empty-id" else 7
+    elif form == "repeated-id":
+        entry["id"] = f"f{rnd.randrange(position)}"
+    elif form in ("fractional-indices", "negative-index", "out-of-range-index"):
+        entry["indices"] = [{"fractional-indices": 0.5, "negative-index": -1}.get(form, 99), *indices[1:]]
+    elif form == "repeated-indices":
+        entry["indices"] = indices[:1] * 2
+    elif form == "other-arity":
+        entry["indices"] = indices[:-1] if len(indices) > 1 else [*indices, (indices[0] + 1) % PARITY_DIMENSION]
+    elif form == "phi-number":
+        entry["phi"] = 3
+    elif form == "unknown-phi-key":
+        entry["phi"]["stray"] = 0
+    else:
+        entry["phi"]["kind"] = rnd.choice(["mystery", *INVALID])
+
+
+def _corrupt_parameter(rnd, phi, arity):
+    keys = set(phi) - {"kind"}
+    forms = ["invalid", "out-of-range" * bool(keys & set(OUT_OF_RANGE)), "misshapen" * bool(keys & ARRAYS),
+             "asymmetric" * ("P" in phi and arity > 1)]
+    form = rnd.choice([form for form in forms if form])
+    if form == "invalid":  # the whole parameter, or one array entry of it
+        target, slot = phi, rnd.choice(sorted(keys))
+        while isinstance(target[slot], list) and target[slot] and rnd.random() < 0.5:
+            target, slot = target[slot], rnd.randrange(len(target[slot]))
+        target[slot] = rnd.choice(INVALID)
+    elif form == "out-of-range":
+        key = rnd.choice(sorted(keys & set(OUT_OF_RANGE)))
+        phi[key] = rnd.choice(OUT_OF_RANGE[key])
+    elif form == "asymmetric":
+        phi["P"][0][1] = float(phi["P"][1][0]) + 1e3
+    else:  # one entry more or fewer, or one more level of nesting
+        key = rnd.choice(sorted(keys & ARRAYS))
+        shape = rnd.choice(["longer", "shorter", "nested"])
+        if shape == "nested":
+            phi[key] = [phi[key]]
+        elif shape == "shorter":
+            phi[key].pop()
+        else:
+            phi[key].append(phi[key][0])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(raw=parity_problem(), data=st.data())
+def test_bulk_parse_refuses_the_first_malformed_entry(raw, data):
+    # one or two entries made malformed: in their structure, or in one
+    # parameter, with an INVALID value, a number out of its range or an
+    # array of the wrong shape; a generator seeded by the example spreads
+    # the choices evenly over the forms
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for position in rnd.sample(range(len(raw["factors"])), min(len(raw["factors"]), rnd.choice([1, 2]))):
+        if rnd.random() < 0.5:
+            _corrupt_structure(rnd, raw, position)
+        else:
+            entry = raw["factors"][position]
+            _corrupt_parameter(rnd, entry["phi"], len(entry["indices"]))
+    raw = json.loads(json.dumps(raw))  # the corruptions as a file holds them
+    try:
+        expected = per_entry_factors(raw)
+    except ProblemError as exc:
+        with pytest.raises(ProblemError) as excinfo:
+            parse_problem(raw)
+        assert str(excinfo.value) == str(exc)
+    else:  # a longer coefficient list, say, is still well-formed
+        for f, want in zip(parse_problem(raw).graph.factors, expected, strict=True):
+            assert_same_record(f, want)
 
 
 def test_directory_problem_path_exits_one(tmp_path, capsys):
