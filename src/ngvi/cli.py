@@ -9,7 +9,8 @@ A run writes three files into the output directory, each atomically
 
 * ``trace.txt``    -- per-iteration rows: iter, value, grad norm, accepted, converged
 * ``estimate.txt`` -- final mean and vech(precision), 17 significant digits
-* ``manifest.json``-- resolved configuration, seed, wall time, exit status
+* ``manifest.json``-- problem, dimension, resolved rule (with its seed) and
+  configuration, iteration count, converged flag, wall time
 
 Exit codes: 0 converged, 2 iteration budget exhausted, 1 any error.
 """
@@ -219,84 +220,11 @@ def polynomial(u: np.ndarray, params: np.ndarray) -> np.ndarray:
     return value
 
 
-def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
-    """One factor from its serialized form: ``Factor.gaussian`` from the
-    checked (m, P) of a ``gaussian_quadratic``, and ``Factor.of_kind`` with
-    the kind's formula and the checked parameters for any other kind.
-
-    Every parameter must be present, numeric and finite; a malformed one
-    raises ProblemError naming the factor and the field.
-    """
-    n_indices = len(indices)
-    if kind == "gaussian_quadratic":
-        return Factor.gaussian(factor_id, indices, *_quadratic_params(params, n_indices, factor_id))
-    owner = f"factor {factor_id!r}: "
-
-    def field(key: str) -> str:
-        return f"{owner}field {key!r}"
-
-    if kind == "logistic_bernoulli":
-        a = _vector(params.get("feature"), field("feature"))
-        label = _number(params.get("label"), field("label"))
-        if label not in (0.0, 1.0):
-            raise ProblemError(f"{field('label')} must be 0 or 1, found {params['label']!r}")
-        if a.shape[0] != n_indices:
-            raise ProblemError(f"{field('feature')} must have one entry per index ({n_indices})")
-        return Factor.of_kind(factor_id, indices, logistic_bernoulli, (a, label), feature_row)
-    if kind == "nonlinear_range":
-        distance = _number(params.get("distance"), field("distance"))
-        variance = _number(params.get("variance"), field("variance"))
-        if not 0.0 <= distance < math.inf:
-            raise ProblemError(f"{field('distance')} must be finite and nonnegative, found {distance!r}")
-        if not 0.0 < variance < math.inf:
-            raise ProblemError(f"{field('variance')} must be finite and positive, found {variance!r}")
-        if params.get("landmark") is not None:
-            point = _vector(params["landmark"], field("landmark"))
-            if point.shape[0] != 2 or n_indices != 2:
-                raise ProblemError(
-                    f"{field('landmark')}: fixed-landmark range factors take "
-                    f"2 indices and a 2-vector landmark"
-                )
-            return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance, point))
-        if n_indices != 4:
-            raise ProblemError(
-                f"{field('landmark')} is missing: range factors take 2 indices "
-                f"and a landmark, or 4 indices (position pair, landmark pair)"
-            )
-        return Factor.of_kind(factor_id, indices, nonlinear_range, (distance, variance), range_difference)
-    if kind == "polynomial":
-        coeffs = _vector(params.get("coefficients"), field("coefficients"))
-        if coeffs.shape[0] == 0:
-            raise ProblemError(f"{field('coefficients')} must hold at least one coefficient")
-        if n_indices != 1:
-            raise ProblemError(f"{owner}polynomial factors take 1 index")
-        return Factor.of_kind(factor_id, indices, polynomial, (coeffs,))
-    raise ProblemError(f"{field('kind')}: unknown phi kind {kind!r}")
-
-
-def _quadratic_params(params: dict, n_indices: int, factor_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """The checked (m, P) of a ``gaussian_quadratic`` factor."""
-
-    def field(key: str) -> str:
-        return f"factor {factor_id!r}: field {key!r}"
-
-    m = _vector(params.get("m"), field("m"))
-    p = _numbers(params.get("P"), field("P"))
-    if m.shape[0] != n_indices:
-        raise ProblemError(f"{field('m')} must have one entry per index ({n_indices})")
-    if p.shape != (n_indices, n_indices):
-        raise ProblemError(f"{field('P')} must be a {n_indices}x{n_indices} matrix")
-    try:
-        check_symmetric(p)
-    except AsymmetricMatrixError as exc:
-        raise ProblemError(f"{field('P')}: {exc}") from None
-    return m, p
-
-
 # ---------------------------------------------------------------------------
 # factor entries: a structural pass over every entry, then the parameters
-# of each group of one kind and row shape checked and converted at once;
-# a group that fails sends the whole list back through ``build_factor``
+# of each group of one kind and row shape checked and built at once by the
+# kind's builder; a refusal sends the entries back one by one through
+# ``build_factor``, a builder on one row
 
 
 def _entry(position: int, entry, positions: dict) -> tuple[str, list, object, dict]:
@@ -335,21 +263,26 @@ def _entry(position: int, entry, positions: dict) -> tuple[str, list, object, di
 def _parse_factors(entries: list) -> list[Factor]:
     """The factors of the entries of 'factors', in file order. Every entry
     passes its structural checks, and then each group of one kind, arity
-    and row shape is checked and built at once (``_stacked_factors``).
-    Where any check fails, or a row takes a form that does not stack (a
-    number for a 1-vector, say), the entries are built one by one through
-    ``build_factor``, which raises the refusal of the first failing entry
-    in file order or builds the same factors."""
-    positions = {}
+    and row shape is checked and built at once by the kind's builder. On
+    any refusal the entries are built again one by one through
+    ``build_factor``, which raises the refusal of the first malformed entry
+    in file order."""
     try:
+        positions, groups = {}, {}
         rows = [_entry(position, entry, positions) for position, entry in enumerate(entries)]
-        factors = _stacked_factors(rows)
-    except (ValueError, OverflowError):  # a refusal, or an integer beyond float range
-        factors = None
-    if factors is not None:
+        for position, (factor_id, indices, kind, phi) in enumerate(rows):
+            coefficients = phi.get("coefficients")
+            count = len(coefficients) if type(coefficients) is list else None
+            key = (_builder(factor_id, kind), len(indices), count, phi.get("landmark") is not None)
+            groups.setdefault(key, []).append(position)
+        factors = [None] * len(rows)
+        for (build, arity, *_), group in groups.items():
+            for position, factor in zip(group, build([rows[k] for k in group], arity)):
+                factors[position] = factor
         return factors
-    positions = {}
-    factors = []
+    except ValueError:  # a refusal, or one of Factor's index checks
+        pass
+    positions, factors = {}, []
     for position, entry in enumerate(entries):
         try:
             factors.append(build_factor(*_entry(position, entry, positions)))
@@ -360,35 +293,39 @@ def _parse_factors(entries: list) -> list[Factor]:
     return factors
 
 
-def _stacked_factors(rows: list[tuple]) -> list[Factor] | None:
-    """The factors of the checked entries (id, indices, kind, phi), built
-    per group of one kind, arity and row shape by the kind's function in
-    ``_STACKED``; None where a kind is unknown or a group fails a check.
-    Each makes the records ``build_factor`` makes."""
-    groups = {}
-    for position, (_, indices, kind, phi) in enumerate(rows):
-        if type(kind) is not str or kind not in _STACKED:
-            return None
-        coefficients = phi.get("coefficients")
-        count = len(coefficients) if type(coefficients) is list else None
-        key = (kind, len(indices), count, phi.get("landmark") is not None)
-        groups.setdefault(key, []).append(position)
-    factors = [None] * len(rows)
-    for (kind, arity, *_), positions in groups.items():
-        built = _STACKED[kind]([rows[k] for k in positions], arity)
-        if built is None:
-            return None
-        for k, factor in zip(positions, built):
-            factors[k] = factor
-    return factors
+def build_factor(factor_id: str, indices, kind: str, params: dict) -> Factor:
+    """One factor from its serialized form: its kind's builder on the one
+    row (factor_id, indices, kind, params).
+
+    Every parameter must be present, numeric and finite; a malformed one
+    raises ProblemError naming the factor and the field.
+    """
+    return _builder(factor_id, kind)([(factor_id, indices, kind, params)], len(indices))[0]
+
+
+def _builder(factor_id: str, kind):
+    """The builder of the phi kind ``kind``; any other kind is refused."""
+    if type(kind) is not str or kind not in _BUILDERS:
+        raise ProblemError(f"factor {factor_id!r}: field 'kind': unknown phi kind {kind!r}")
+    return _BUILDERS[kind]
+
+
+# Each builder takes the rows (id, indices, kind, phi) of one kind, arity
+# and row shape, checks each parameter of all of them at once, and builds
+# their factors; a refusal is worded for the group's first row, which in
+# a one-row group is the malformed one.
+
+
+def _field(row: tuple, key: str) -> str:
+    return f"factor {row[0]!r}: field {key!r}"
 
 
 def _stack(column: list, depth: int) -> np.ndarray | None:
     """One field of a group's rows, each a JSON number (``depth`` 0) or
     lists nested ``depth`` deep over JSON numbers, as one finite float
     array (K, ...): one type check per level of the flattened lists and
-    one conversion. None if a row holds anything else or a non-finite
-    number; rows of unequal shapes raise ValueError."""
+    one conversion. None if a row holds anything else, a non-finite
+    number or an integer beyond float range, or the rows' shapes differ."""
     leaves = column
     for _ in range(depth):
         if set(map(type, leaves)) != {list}:
@@ -396,65 +333,99 @@ def _stack(column: list, depth: int) -> np.ndarray | None:
         leaves = list(chain.from_iterable(leaves))
     if not set(map(type, leaves)) <= _NUMBER_TYPES:
         return None
-    array = np.array(column, dtype=float)
+    try:
+        array = np.array(column, dtype=float)
+    except (ValueError, OverflowError):
+        return None
     return array if np.isfinite(array).all() else None
 
 
-def _stacked_quadratic(rows: list[tuple], arity: int) -> list[Factor] | None:
-    m = _stack([phi.get("m") for *_, phi in rows], 1)
-    p = _stack([phi.get("P") for *_, phi in rows], 2)
-    if m is None or p is None or m.shape[1:] != (arity,) or p.shape[1:] != (arity, arity):
-        return None
-    check_symmetric(p)
+def _column(rows: list[tuple], key: str, depth: int, read) -> np.ndarray:
+    """Field ``key`` of the rows as one float array (K, ...) by ``_stack``.
+    A column that does not stack, a number for a 1-vector say, is read
+    row by row by ``read`` (``_number``, ``_vector`` or ``_numbers``),
+    which refuses the first malformed row; rows that read to different
+    shapes raise ValueError."""
+    column = [phi.get(key) for *_, phi in rows]
+    array = _stack(column, depth)
+    if array is None:
+        array = np.array([read(value, _field(row, key)) for row, value in zip(rows, column)])
+    return array
+
+
+def _quadratic_factors(rows: list[tuple], arity: int) -> list[Factor]:
+    m = _column(rows, "m", 1, _vector)
+    p = _column(rows, "P", 2, _numbers)
+    if m.shape[1:] != (arity,):
+        raise ProblemError(f"{_field(rows[0], 'm')} must have one entry per index ({arity})")
+    if p.shape[1:] != (arity, arity):
+        raise ProblemError(f"{_field(rows[0], 'P')} must be a {arity}x{arity} matrix")
+    try:
+        check_symmetric(p)
+    except AsymmetricMatrixError as exc:
+        raise ProblemError(f"{_field(rows[0], 'P')}: {exc}") from None
     return [Factor.gaussian(factor_id, indices, mk, pk) for (factor_id, indices, *_), mk, pk in zip(rows, m, p)]
 
 
-def _stacked_logistic(rows: list[tuple], arity: int) -> list[Factor] | None:
-    a = _stack([phi.get("feature") for *_, phi in rows], 1)
-    label = _stack([phi.get("label") for *_, phi in rows], 0)
-    if a is None or label is None or a.shape[1:] != (arity,) or not ((label == 0.0) | (label == 1.0)).all():
-        return None
+def _logistic_factors(rows: list[tuple], arity: int) -> list[Factor]:
+    a = _column(rows, "feature", 1, _vector)
+    label = _column(rows, "label", 0, _number)
+    if not ((label == 0.0) | (label == 1.0)).all():
+        raise ProblemError(f"{_field(rows[0], 'label')} must be 0 or 1, found {rows[0][3]['label']!r}")
+    if a.shape[1:] != (arity,):
+        raise ProblemError(f"{_field(rows[0], 'feature')} must have one entry per index ({arity})")
     return [
         Factor.of_kind(factor_id, indices, logistic_bernoulli, (ak, lk), feature_row)
         for (factor_id, indices, *_), ak, lk in zip(rows, a, label.tolist())
     ]
 
 
-def _stacked_range(rows: list[tuple], arity: int) -> list[Factor] | None:
-    distance = _stack([phi.get("distance") for *_, phi in rows], 0)
-    variance = _stack([phi.get("variance") for *_, phi in rows], 0)
-    fixed = rows[0][3].get("landmark") is not None
-    if distance is None or variance is None or (distance < 0.0).any() or (variance <= 0.0).any():
-        return None
-    if arity != (2 if fixed else 4):
-        return None
+def _range_factors(rows: list[tuple], arity: int) -> list[Factor]:
+    distance = _column(rows, "distance", 0, _number)
+    variance = _column(rows, "variance", 0, _number)
+    if not ((0.0 <= distance) & (distance < math.inf)).all():
+        raise ProblemError(
+            f"{_field(rows[0], 'distance')} must be finite and nonnegative, found {distance[0].item()!r}"
+        )
+    if not ((0.0 < variance) & (variance < math.inf)).all():
+        raise ProblemError(f"{_field(rows[0], 'variance')} must be finite and positive, found {variance[0].item()!r}")
     distance, variance = distance.tolist(), variance.tolist()
-    if not fixed:
+    if rows[0][3].get("landmark") is not None:
+        point = _column(rows, "landmark", 1, _vector)
+        if point.shape[1:] != (2,) or arity != 2:
+            raise ProblemError(
+                f"{_field(rows[0], 'landmark')}: fixed-landmark range factors take "
+                f"2 indices and a 2-vector landmark"
+            )
         return [
-            Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk), range_difference)
-            for (factor_id, indices, *_), dk, vk in zip(rows, distance, variance)
+            Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk, pk))
+            for (factor_id, indices, *_), dk, vk, pk in zip(rows, distance, variance, point)
         ]
-    point = _stack([phi["landmark"] for *_, phi in rows], 1)
-    if point is None or point.shape[1:] != (2,):
-        return None
+    if arity != 4:
+        raise ProblemError(
+            f"{_field(rows[0], 'landmark')} is missing: range factors take 2 indices "
+            f"and a landmark, or 4 indices (position pair, landmark pair)"
+        )
     return [
-        Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk, pk))
-        for (factor_id, indices, *_), dk, vk, pk in zip(rows, distance, variance, point)
+        Factor.of_kind(factor_id, indices, nonlinear_range, (dk, vk), range_difference)
+        for (factor_id, indices, *_), dk, vk in zip(rows, distance, variance)
     ]
 
 
-def _stacked_polynomial(rows: list[tuple], arity: int) -> list[Factor] | None:
-    coeffs = _stack([phi.get("coefficients") for *_, phi in rows], 1)
-    if coeffs is None or coeffs.shape[1] == 0 or arity != 1:
-        return None
+def _polynomial_factors(rows: list[tuple], arity: int) -> list[Factor]:
+    coeffs = _column(rows, "coefficients", 1, _vector)
+    if coeffs.shape[1] == 0:
+        raise ProblemError(f"{_field(rows[0], 'coefficients')} must hold at least one coefficient")
+    if arity != 1:
+        raise ProblemError(f"factor {rows[0][0]!r}: polynomial factors take 1 index")
     return [Factor.of_kind(factor_id, indices, polynomial, (c,)) for (factor_id, indices, *_), c in zip(rows, coeffs)]
 
 
-_STACKED = {
-    "gaussian_quadratic": _stacked_quadratic,
-    "logistic_bernoulli": _stacked_logistic,
-    "nonlinear_range": _stacked_range,
-    "polynomial": _stacked_polynomial,
+_BUILDERS = {
+    "gaussian_quadratic": _quadratic_factors,
+    "logistic_bernoulli": _logistic_factors,
+    "nonlinear_range": _range_factors,
+    "polynomial": _polynomial_factors,
 }
 
 

@@ -603,35 +603,198 @@ def test_build_phi_fuzz_rejects_malformed_parameters(case, data):
         assert mutation == "negative" and key not in POSITIVE, params
 
 
+# every refusal template of a parameter, word for word
 @pytest.mark.parametrize(
-    "kind, params, n_indices, key",
+    "kind, params, n_indices, message",
     [
-        pytest.param("polynomial", {}, 1, "coefficients", id="missing-coefficients"),
-        pytest.param("gaussian_quadratic", {"m": [NAN], "P": [[1.0]]}, 1, "m", id="nan-m"),
-        pytest.param("gaussian_quadratic", {"m": [0.0], "P": [[INF]]}, 1, "P", id="inf-P"),
         pytest.param(
-            "gaussian_quadratic", {"m": [0.0, 0.0], "P": [[1.0, 0.5], [0.4, 1.0]]}, 2, "P", id="asymmetric-P"
+            "polynomial", {}, 1,
+            "factor 'f3': field 'coefficients' must be a finite number or a rectangular array of them, found None",
+            id="missing-coefficients",
         ),
-        pytest.param("logistic_bernoulli", {"feature": [NAN], "label": 1}, 1, "feature", id="nan-feature"),
-        pytest.param("logistic_bernoulli", {"feature": [1.0], "label": 0.7}, 1, "label", id="fractional-label"),
-        pytest.param("polynomial", {"coefficients": [1.0, -INF]}, 1, "coefficients", id="inf-coefficient"),
-        pytest.param("nonlinear_range", {"distance": NAN, "variance": 0.1}, 4, "distance", id="nan-distance"),
-        pytest.param("nonlinear_range", {"distance": -1.0, "variance": 0.1}, 4, "distance", id="negative-distance"),
-        pytest.param("nonlinear_range", {"distance": 1.0, "variance": INF}, 4, "variance", id="inf-variance"),
-        # a vector field is one number or a flat array, never a nested one
-        pytest.param("polynomial", {"coefficients": [[0, 0], [1, 0]]}, 1, "coefficients", id="nested-coefficients"),
-        pytest.param("gaussian_quadratic", {"m": [[0, 0]], "P": [[1.0, 0.0], [0.0, 1.0]]}, 2, "m", id="nested-m"),
-        pytest.param("logistic_bernoulli", {"feature": [[1.0], [2.0]], "label": 1}, 2, "feature", id="nested-feature"),
         pytest.param(
-            "nonlinear_range", {"distance": 1.0, "variance": 0.1, "landmark": [[0.0, 1.0]]}, 2, "landmark",
+            "gaussian_quadratic", {"m": [NAN], "P": [[1.0]]}, 1,
+            "factor 'f3': field 'm' must be a finite number or a rectangular array of them, found [nan]",
+            id="nan-m",
+        ),
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0], "P": [[INF]]}, 1,
+            "factor 'f3': field 'P' must be a finite number or a rectangular array of them, found [[inf]]",
+            id="inf-P",
+        ),
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0, 0.0], "P": [[1.0, 0.5], [0.4, 1.0]]}, 2,
+            "factor 'f3': field 'P': matrix is asymmetric: max|A - A^T| = 1.000e-01 exceeds 1.0e-12 * 1.000e+00",
+            id="asymmetric-P",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [NAN], "label": 1}, 1,
+            "factor 'f3': field 'feature' must be a finite number or a rectangular array of them, found [nan]",
+            id="nan-feature",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0], "label": 0.7}, 1,
+            "factor 'f3': field 'label' must be 0 or 1, found 0.7",
+            id="fractional-label",
+        ),
+        pytest.param(
+            "polynomial", {"coefficients": [1.0, -INF]}, 1,
+            "factor 'f3': field 'coefficients' must be a finite number or a rectangular array of them, "
+            "found [1.0, -inf]",
+            id="inf-coefficient",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": NAN, "variance": 0.1}, 4,
+            "factor 'f3': field 'distance' must be finite and nonnegative, found nan",
+            id="nan-distance",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": -1.0, "variance": 0.1}, 4,
+            "factor 'f3': field 'distance' must be finite and nonnegative, found -1.0",
+            id="negative-distance",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": INF}, 4,
+            "factor 'f3': field 'variance' must be finite and positive, found inf",
+            id="inf-variance",
+        ),
+        # a vector field is one number or a flat array, never a nested one
+        pytest.param(
+            "polynomial", {"coefficients": [[0, 0], [1, 0]]}, 1,
+            "factor 'f3': field 'coefficients' must be a finite number or a flat array of them, "
+            "found an array of shape (2, 2)",
+            id="nested-coefficients",
+        ),
+        pytest.param(
+            "gaussian_quadratic", {"m": [[0, 0]], "P": [[1.0, 0.0], [0.0, 1.0]]}, 2,
+            "factor 'f3': field 'm' must be a finite number or a flat array of them, found an array of shape (1, 2)",
+            id="nested-m",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [[1.0], [2.0]], "label": 1}, 2,
+            "factor 'f3': field 'feature' must be a finite number or a flat array of them, "
+            "found an array of shape (2, 1)",
+            id="nested-feature",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0.1, "landmark": [[0.0, 1.0]]}, 2,
+            "factor 'f3': field 'landmark' must be a finite number or a flat array of them, "
+            "found an array of shape (1, 2)",
             id="nested-landmark",
+        ),
+        # a number field is one JSON number: no string, boolean or array
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0], "label": "1"}, 1,
+            "factor 'f3': field 'label' must be a number, found '1'",
+            id="string-label",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0], "label": [1]}, 1,
+            "factor 'f3': field 'label' must be a number, found [1]",
+            id="vector-label",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": True}, 4,
+            "factor 'f3': field 'variance' must be a number, found True",
+            id="boolean-variance",
+        ),
+        # arrays that do not convert: ragged, or an integer beyond float range
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0, 0.0], "P": [[1.0, 0.0], [0.0]]}, 2,
+            "factor 'f3': field 'P' must be a finite number or a rectangular array of them, "
+            "found [[1.0, 0.0], [0.0]]",
+            id="ragged-P",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 10**400, "variance": 0.1}, 4,
+            "factor 'f3': field 'distance' must be a number, found 1" + "0" * 400,
+            id="huge-distance",
+        ),
+        pytest.param(
+            "gaussian_quadratic", {"m": [10**400], "P": [[1.0]]}, 1,
+            "factor 'f3': field 'm' must be a finite number or a rectangular array of them, found [1" + "0" * 400 + "]",
+            id="huge-m",
+        ),
+        # lengths and shapes
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0], "P": [[1.0, 0.0], [0.0, 1.0]]}, 2,
+            "factor 'f3': field 'm' must have one entry per index (2)",
+            id="short-m",
+        ),
+        pytest.param(
+            "gaussian_quadratic", {"m": [0.0, 0.0], "P": [[1.0]]}, 2,
+            "factor 'f3': field 'P' must be a 2x2 matrix",
+            id="small-P",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0, 2.0], "label": 0}, 1,
+            "factor 'f3': field 'feature' must have one entry per index (1)",
+            id="long-feature",
+        ),
+        # ranges, which NaN is outside of
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0], "label": NAN}, 1,
+            "factor 'f3': field 'label' must be 0 or 1, found nan",
+            id="nan-label",
+        ),
+        pytest.param(
+            "logistic_bernoulli", {"feature": [1.0], "label": 2}, 1,
+            "factor 'f3': field 'label' must be 0 or 1, found 2",
+            id="integer-label",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": INF, "variance": 0.1}, 4,
+            "factor 'f3': field 'distance' must be finite and nonnegative, found inf",
+            id="inf-distance",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0}, 4,
+            "factor 'f3': field 'variance' must be finite and positive, found 0.0",
+            id="zero-variance",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": NAN}, 4,
+            "factor 'f3': field 'variance' must be finite and positive, found nan",
+            id="nan-variance",
+        ),
+        # range forms, polynomial arity and kinds
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0.1, "landmark": [0.0, 1.0, 2.0]}, 2,
+            "factor 'f3': field 'landmark': fixed-landmark range factors take 2 indices and a 2-vector landmark",
+            id="long-landmark",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0.1, "landmark": [0.0, 1.0]}, 4,
+            "factor 'f3': field 'landmark': fixed-landmark range factors take 2 indices and a 2-vector landmark",
+            id="landmark-at-arity-4",
+        ),
+        pytest.param(
+            "nonlinear_range", {"distance": 1.0, "variance": 0.1}, 2,
+            "factor 'f3': field 'landmark' is missing: range factors take 2 indices and a landmark, "
+            "or 4 indices (position pair, landmark pair)",
+            id="missing-landmark",
+        ),
+        pytest.param(
+            "polynomial", {"coefficients": []}, 1,
+            "factor 'f3': field 'coefficients' must hold at least one coefficient",
+            id="empty-coefficients",
+        ),
+        pytest.param(
+            "polynomial", {"coefficients": [1.0]}, 2,
+            "factor 'f3': polynomial factors take 1 index",
+            id="polynomial-arity",
+        ),
+        pytest.param(
+            "mystery", {}, 1,
+            "factor 'f3': field 'kind': unknown phi kind 'mystery'",
+            id="unknown-kind",
         ),
     ],
 )
-def test_build_phi_rejects_malformed_parameter(kind, params, n_indices, key):
+def test_build_phi_rejects_malformed_parameter(kind, params, n_indices, message):
     with pytest.raises(ProblemError) as excinfo:
         build_factor("f3", tuple(range(n_indices)), kind, params).local_phi
-    assert_names(str(excinfo.value), "f3", key)
+    assert str(excinfo.value) == message
 
 
 def _set(path, value):
@@ -749,8 +912,9 @@ def test_phi_fields_are_per_kind():
 
 
 # ---------------------------------------------------------------------------
-# each kind's parameters are checked and built in bulk, to the records and
-# refusals of the per-entry checks and build_factor
+# each kind's parameters are checked and built in bulk, per group of one
+# kind and row shape, to the records of Factor's constructors, and a
+# malformed file is refused for its first malformed entry in file order
 
 PARITY_DIMENSION = 4
 JSON_NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5), st.just(-0.0))
@@ -831,17 +995,54 @@ def assert_same_record(f, expected):
         assert np.asarray(part).tobytes() == np.asarray(want).tobytes()
 
 
+def json_factor(entry):
+    """The record of a well-formed entry, built from its JSON by
+    ``Factor.gaussian`` or ``Factor.of_kind`` with no parse code between."""
+    factor_id, indices, phi = entry["id"], entry["indices"], entry["phi"]
+    kind = phi["kind"]
+    if kind == "gaussian_quadratic":
+        return factors.Factor.gaussian(factor_id, indices, phi["m"], phi["P"])
+    if kind == "logistic_bernoulli":
+        params = (np.array(phi["feature"], dtype=float), float(phi["label"]))
+        return factors.Factor.of_kind(factor_id, indices, cli.logistic_bernoulli, params, cli.feature_row)
+    if kind == "polynomial":
+        return factors.Factor.of_kind(factor_id, indices, cli.polynomial, (np.array(phi["coefficients"], dtype=float),))
+    distance, variance = float(phi["distance"]), float(phi["variance"])
+    if "landmark" in phi:
+        landmark = np.array(phi["landmark"], dtype=float)
+        return factors.Factor.of_kind(factor_id, indices, cli.nonlinear_range, (distance, variance, landmark))
+    return factors.Factor.of_kind(factor_id, indices, cli.nonlinear_range, (distance, variance), cli.range_difference)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(raw=parity_problem())
 def test_bulk_parse_builds_the_records_of_build_factor(raw):
     raw = json.loads(json.dumps(raw))  # the problem as a file holds it
-    expected = per_entry_factors(raw)
-    # every group of a well-formed file is built in bulk, not entry by entry
-    with mock.patch.object(cli, "build_factor", side_effect=AssertionError("built entry by entry")):
+    # each group of one kind, arity and row shape is built in one builder
+    # call, and each entry once: entries built again one by one after a
+    # refusal, or built one by one from the start, fail the count
+    calls = []
+
+    def counted(builder):
+        def build(rows, arity):
+            calls.append([factor_id for factor_id, *_ in rows])
+            return builder(rows, arity)
+
+        return build
+
+    with mock.patch.dict(cli._BUILDERS, {kind: counted(builder) for kind, builder in cli._BUILDERS.items()}):
         spec = parse_problem(raw)
-    assert len(spec.graph.factors) == len(expected)
-    for f, want in zip(spec.graph.factors, expected):
-        assert_same_record(f, want)
+    groups = {
+        (e["phi"]["kind"], len(e["indices"]), len(e["phi"].get("coefficients", ())), "landmark" in e["phi"])
+        for e in raw["factors"]
+    }
+    assert len(calls) == len(groups)
+    assert sorted(sum(calls, [])) == sorted(entry["id"] for entry in raw["factors"])
+    assert len(spec.graph.factors) == len(raw["factors"])
+    for f, entry in zip(spec.graph.factors, raw["factors"]):
+        assert_same_record(f, json_factor(entry))
+        assert_same_record(build_factor(entry["id"], entry["indices"], entry["phi"]["kind"], entry["phi"]),
+                           json_factor(entry))
 
 
 # numbers that are JSON numbers but out of a parameter's range
