@@ -29,7 +29,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import verify
 from .factors import Factor, FactorGraph, SparsityError, optimize_factored
 from .gaussian import (
     MeanCovariance,
@@ -716,10 +715,10 @@ def run_command(args) -> int:
 
 
 def verify_command(args) -> int:
-    scopes = list(verify.SCOPES) if args.scope == "all" else [args.scope]
+    scopes = list(args.criteria) if args.scope == "all" else [args.scope]
     all_ok = True
     for scope in scopes:
-        for criterion in verify.SCOPES[scope]:
+        for criterion in args.criteria[scope]:
             for result in criterion():
                 status = "PASS" if result.ok else "FAIL"
                 print(f"{status} {result.name}: residual={result.residual:.3e} tol={result.tol:.1e}")
@@ -750,9 +749,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jitter", type=float)
     run.set_defaults(func=run_command)
 
+    # the evidence modules load here, not with ``ngvi.cli``
+    from .verify import SCOPES
+
     check = sub.add_parser("verify", help="run the paper's acceptance criteria 1-6 and 9")
-    check.add_argument("--scope", choices=("all", *verify.SCOPES), default="all")
-    check.set_defaults(func=verify_command)
+    check.add_argument("--scope", choices=("all", *SCOPES), default="all")
+    check.set_defaults(func=verify_command, criteria=SCOPES)
     return parser
 
 

@@ -81,7 +81,7 @@ from .gaussian import (
     _logdet_from_chol,
     convert,
 )
-from .kronmat import DimensionError, SymmetricMatrix, _vech_indices, _vech_position, half_len
+from .kronmat import DimensionError, SymmetricMatrix, _index, _vech_indices, _vech_position, half_len, integer
 from .ngd import IterationTrace, NgdConfig, iterate_hybrid
 from .quadrature import (
     EvaluationError,
@@ -137,7 +137,12 @@ class Factor:
     kind: tuple[Callable, tuple, Callable | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        indices = tuple(map(int, self.indices))
+        try:
+            indices = tuple(map(_index, self.indices))
+        except TypeError:
+            raise TypeError(
+                f"factor {self.id!r} variable indices must be integers, found {self.indices!r}"
+            ) from None
         if not indices:
             raise ValueError(f"factor {self.id!r} has no variable indices")
         if len(set(indices)) != len(indices):
@@ -224,6 +229,11 @@ def _table(rows) -> np.ndarray:
     return np.hstack(columns)
 
 
+def _path(f: Factor) -> tuple[Callable, Callable | None]:
+    """The formula and projection a factor is grouped and swept by."""
+    return (_each_phi, None) if f.kind is None else (f.kind[0], f.kind[2])
+
+
 def _each_phi(points: np.ndarray, factors: tuple[Factor, ...]) -> np.ndarray:
     """The stacked integrand of factors that record no kind: each factor's
     ``local_phi`` called once, on its own points."""
@@ -239,6 +249,7 @@ class FactorGraph:
     factors: tuple[Factor, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", integer(self.dim, "graph dimension"))
         if self.dim < 1:
             raise DimensionError("graph dimension must be a positive integer")
         factors = tuple(self.factors)
@@ -259,8 +270,7 @@ class FactorGraph:
         ``local_phi``, which a caller may wrap."""
         grouped: dict[tuple, list[Factor]] = {}
         for f in self.factors:
-            kind = (_each_phi, None) if f.kind is None else (f.kind[0], f.kind[2])
-            grouped.setdefault((*kind, len(f.indices)), []).append(f)
+            grouped.setdefault((*_path(f), len(f.indices)), []).append(f)
         keys = sorted(grouped, key=lambda key: key[0] is quadratic)
         groups = tuple(_group(key[0], key[1], grouped[key]) for key in keys)
         return _Plan(groups, _scatter_index(self.dim, groups))
@@ -527,33 +537,27 @@ def _project(ridge: np.ndarray, mean: np.ndarray, chol: np.ndarray):
 def _raise_first_failure(
     graph: FactorGraph, mean: np.ndarray, sigma: np.ndarray, rule: ExpectationRule
 ) -> None:
-    """Sweep factor by factor in graph order and raise what the first
-    failing factor raises, with the factor named: a batch can fail at a
-    factor that another group's factor precedes."""
+    """Sweep factor by factor in graph order, each one as a group of its
+    own, and raise what the first failing factor raises, with the factor
+    named: a batch can fail at a factor that another group's factor
+    precedes. A Gaussian factor, whose group is taken in closed form, is
+    swept through its ``local_phi``."""
     for f in graph.factors:
         idx = np.array(f.indices, dtype=np.intp)
-        chol = _chol(sigma[np.ix_(idx, idx)], f"marginal covariance of factor {f.id!r}")
+        cov = sigma[np.ix_(idx, idx)]
+        chol = _chol(cov, f"marginal covariance of factor {f.id!r}")
+        formula, projection = _path(f)
         try:
-            expect_weighted(*_alone(f, mean[idx], chol, rule))
+            if formula is quadratic:
+                expect_weighted(rule, (mean[idx], chol), f.local_phi)
+            else:
+                _sweep(_group(formula, projection, [f]), mean[idx][None], cov[None], chol[None], rule)
         except IntegrandShapeError as exc:
             raise IntegrandShapeError(f"factor {f.id!r}: {exc}") from None
-
-
-def _alone(f: Factor, mean: np.ndarray, chol: np.ndarray, rule: ExpectationRule):
-    """The rule, Gaussian and integrand that sweep one factor as its group
-    sweeps it: a factor of a ridge group in y = A u under the group's rule,
-    any other over its marginal (mean, covariance factor)."""
-    ridge = None if f.kind is None else _ridge(f.kind[2], _table([f.kind[1]]))
-    if ridge is None:
-        return rule, (mean, chol), f.local_phi
-    try:
-        m, s_chol, _ = _project(ridge, mean[None], chol[None])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            f"projected covariance of factor {f.id!r} is not positive definite"
-        ) from None
-    formula, table = f.kind[0], _table([f.kind[1]])
-    return _ridge_rule(rule, len(mean), ridge.shape[1]), (m[0], s_chol[0]), lambda y: formula(y[None], table)[0]
+        except np.linalg.LinAlgError:  # only a ridge row's projection can fail
+            raise NotPositiveDefiniteError(
+                f"projected covariance of factor {f.id!r} is not positive definite"
+            ) from None
 
 
 def assemble(graph: FactorGraph, q, rule: ExpectationRule) -> DerivativeBundle:

@@ -1,4 +1,5 @@
-"""Fisher information matrices for five Gaussian parameterizations.
+"""Fisher information matrices for five Gaussian parameterizations, and
+the vec/vech, Kronecker and duplication-matrix algebra they are written in.
 
 Each tag is the mean plus one matrix in one layout, and ``_PARAMS`` is
 the table of both:
@@ -24,16 +25,36 @@ symmetry-blind tags those coordinates are redundant (off-diagonal pairs
 move independently), so the FD Hessian agrees with the closed form only
 on the symmetric subspace; use ``reduce_to_unique`` on both before
 comparing entrywise.
+
+The algebra: column-major ``vec``/``mat``, the half vectorization
+``vech``/``matf``, duplication matrices with their pseudoinverses, and
+the ``sym`` operator that converts an unconstrained matrix derivative
+into its symmetry-aware counterpart. Duplication matrices are assembled
+by index bookkeeping, never by numerical pseudoinversion: D^T D is
+diagonal with entries 1 (diagonal slots) or 2 (off-diagonal slots), so
+D+ has an exact closed form. The optimizer never calls this algebra;
+its iterate is stored in ``kronmat.SymmetricMatrix``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .gaussian import NotPositiveDefiniteError, cov_of, prec_of
-from .kronmat import duplication, half_len, matf, vech
+from .kronmat import DimensionError, SymmetricMatrix, _vech_position, half_len
 
 __all__ = [
+    "DuplicationPair",
+    "vec",
+    "mat",
+    "kron",
+    "vech",
+    "matf",
+    "duplication",
+    "sym",
     "PARAM_TAGS",
     "coord_dim",
     "fim",
@@ -44,6 +65,87 @@ __all__ = [
     "central_hessian",
     "shrink_until_pd",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class DuplicationPair:
+    """Duplication matrix D (N^2 x N(N+1)/2) and its pseudoinverse D+."""
+
+    dim: int
+    dup: np.ndarray
+    pinv: np.ndarray
+
+
+def vec(m) -> np.ndarray:
+    """Stack the columns of a matrix into one vector; vec of a vector is itself."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim == 1:
+        return a.copy()
+    if a.ndim != 2:
+        raise DimensionError(f"expected a vector or matrix, got ndim {a.ndim}")
+    return a.reshape(-1, order="F")
+
+
+def mat(v, rows: int, cols: int) -> np.ndarray:
+    """Unstack a vector back into a rows x cols matrix (inverse of vec)."""
+    a = np.asarray(v, dtype=float).reshape(-1)
+    if a.shape[0] != rows * cols:
+        raise DimensionError(
+            f"vector of length {a.shape[0]} cannot fill a {rows}x{cols} matrix"
+        )
+    return a.reshape((rows, cols), order="F")
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices."""
+    return np.kron(np.atleast_2d(np.asarray(a, dtype=float)),
+                   np.atleast_2d(np.asarray(b, dtype=float)))
+
+
+def vech(m) -> np.ndarray:
+    """Half vectorization: on-and-below-diagonal entries, column-major.
+
+    Accepts a SymmetricMatrix or a dense square matrix that is symmetric
+    within tolerance.
+    """
+    if isinstance(m, SymmetricMatrix):
+        return m.half.copy()
+    return SymmetricMatrix.from_full(m).half
+
+
+def matf(h, dim: int) -> SymmetricMatrix:
+    """Rebuild the full symmetric matrix from its half vector."""
+    return SymmetricMatrix(dim, h)
+
+
+@lru_cache(maxsize=None)
+def duplication(dim: int) -> DuplicationPair:
+    """Duplication matrix for symmetric dim x dim matrices, with pseudoinverse.
+
+    D satisfies vec(A) = D vech(A) for symmetric A. D+ = (D^T D)^{-1} D^T,
+    where D^T D is diagonal with entries 1 or 2.
+    """
+    if dim < 1:
+        raise DimensionError("dimension must be a positive integer")
+    d = np.zeros((dim * dim, half_len(dim)))
+    for j in range(dim):
+        for i in range(dim):
+            lo, hi = (i, j) if i < j else (j, i)
+            d[j * dim + i, _vech_position(hi, lo, dim)] = 1.0
+    counts = d.sum(axis=0)
+    pinv = (d / counts).T
+    d.setflags(write=False)
+    pinv.setflags(write=False)
+    return DuplicationPair(dim, d, pinv)
+
+
+def sym(m) -> np.ndarray:
+    """A + A^T - A o I, the symmetry-aware derivative projection."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return a + a.T - np.diag(np.diag(a))
+
 
 # tag -> (the matrix its coordinates hold, that matrix's layout)
 _PARAMS = {

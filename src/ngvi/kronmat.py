@@ -1,18 +1,16 @@
-"""Vectorization, Kronecker, and duplication-matrix algebra.
+"""Symmetric-matrix storage for the optimizer's iterate.
 
-Dense, desk-scale building blocks used by the Fisher-information and
-natural-gradient code: column-major ``vec``/``mat``, the half
-vectorization ``vech``/``matf``, duplication matrices with their
-pseudoinverses, and the ``sym`` operator that converts an unconstrained
-matrix derivative into its symmetry-aware counterpart.
-
-Duplication matrices are assembled by index bookkeeping, never by
-numerical pseudoinversion: D^T D is diagonal with entries 1 (diagonal
-slots) or 2 (off-diagonal slots), so D+ has an exact closed form.
+A ``SymmetricMatrix`` holds one scalar per on-and-below-diagonal entry,
+in the column-major half vector, so its dense expansion is symmetric by
+construction. ``check_symmetric`` is the one tolerance rule for
+accepting a dense matrix as symmetric, and ``integer`` the one rule for
+an integer field of the Python API. The Kronecker and duplication
+algebra the paper derives its FIMs with lives in ``ngvi.fim``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,16 +20,9 @@ __all__ = [
     "DimensionError",
     "AsymmetricMatrixError",
     "SymmetricMatrix",
-    "DuplicationPair",
     "half_len",
     "check_symmetric",
-    "vec",
-    "mat",
-    "kron",
-    "vech",
-    "matf",
-    "duplication",
-    "sym",
+    "integer",
 ]
 
 
@@ -46,6 +37,22 @@ class AsymmetricMatrixError(ValueError):
 # relative tolerance for accepting a dense matrix as symmetric:
 # max|A - A^T| <= SYMMETRY_RTOL * max(1, max|A|)
 SYMMETRY_RTOL = 1e-12
+
+
+def _index(value) -> int:
+    """``operator.index(value)``, which refuses a float, a string or a
+    NumPy bool; a bool, which it would read as 0 or 1, is refused too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int, by ``_index``; a refusal names ``what``."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, found {value!r}") from None
 
 
 def half_len(dim: int) -> int:
@@ -93,6 +100,7 @@ class SymmetricMatrix:
     half: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", integer(self.dim, "dimension"))
         if self.dim < 1:
             raise DimensionError("dimension must be a positive integer")
         half = np.asarray(self.half, dtype=float).reshape(-1)
@@ -122,83 +130,3 @@ class SymmetricMatrix:
         a[r, c] = self.half
         a[c, r] = self.half
         return a
-
-
-@dataclass(frozen=True, eq=False)
-class DuplicationPair:
-    """Duplication matrix D (N^2 x N(N+1)/2) and its pseudoinverse D+."""
-
-    dim: int
-    dup: np.ndarray
-    pinv: np.ndarray
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of a matrix into one vector; vec of a vector is itself."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 1:
-        return a.copy()
-    if a.ndim != 2:
-        raise DimensionError(f"expected a vector or matrix, got ndim {a.ndim}")
-    return a.reshape(-1, order="F")
-
-
-def mat(v, rows: int, cols: int) -> np.ndarray:
-    """Unstack a vector back into a rows x cols matrix (inverse of vec)."""
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if a.shape[0] != rows * cols:
-        raise DimensionError(
-            f"vector of length {a.shape[0]} cannot fill a {rows}x{cols} matrix"
-        )
-    return a.reshape((rows, cols), order="F")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.atleast_2d(np.asarray(a, dtype=float)),
-                   np.atleast_2d(np.asarray(b, dtype=float)))
-
-
-def vech(m) -> np.ndarray:
-    """Half vectorization: on-and-below-diagonal entries, column-major.
-
-    Accepts a SymmetricMatrix or a dense square matrix that is symmetric
-    within tolerance.
-    """
-    if isinstance(m, SymmetricMatrix):
-        return m.half.copy()
-    return SymmetricMatrix.from_full(m).half
-
-
-def matf(h, dim: int) -> SymmetricMatrix:
-    """Rebuild the full symmetric matrix from its half vector."""
-    return SymmetricMatrix(dim, h)
-
-
-@lru_cache(maxsize=None)
-def duplication(dim: int) -> DuplicationPair:
-    """Duplication matrix for symmetric dim x dim matrices, with pseudoinverse.
-
-    D satisfies vec(A) = D vech(A) for symmetric A. D+ = (D^T D)^{-1} D^T,
-    where D^T D is diagonal with entries 1 or 2.
-    """
-    if dim < 1:
-        raise DimensionError("dimension must be a positive integer")
-    d = np.zeros((dim * dim, half_len(dim)))
-    for j in range(dim):
-        for i in range(dim):
-            lo, hi = (i, j) if i < j else (j, i)
-            d[j * dim + i, _vech_position(hi, lo, dim)] = 1.0
-    counts = d.sum(axis=0)
-    pinv = (d / counts).T
-    d.setflags(write=False)
-    pinv.setflags(write=False)
-    return DuplicationPair(dim, d, pinv)
-
-
-def sym(m) -> np.ndarray:
-    """A + A^T - A o I, the symmetry-aware derivative projection."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a + a.T - np.diag(np.diag(a))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import MeanPrecision, convert, tril_inverse
+from .kronmat import integer
 from .quadrature import ExpectationRule, default_rule
 from .vloss import DerivativeBundle, LossFunctional, value_and_derivatives
 
@@ -67,6 +68,7 @@ class NgdConfig:
     rule: ExpectationRule | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_iters", integer(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if not 0.0 < self.rel_tol < math.inf:

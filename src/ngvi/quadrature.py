@@ -44,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gaussian
+from .kronmat import integer
 
 __all__ = [
     "POINT_BUDGET",
@@ -91,6 +92,8 @@ class ExpectationRule:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order", integer(self.order, "rule order"))
+        object.__setattr__(self, "seed", integer(self.seed, "rule seed"))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == "gauss_hermite" and not 1 <= self.order <= 20:

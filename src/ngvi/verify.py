@@ -26,14 +26,20 @@ from .fim import (
     _from_coords,
     central_gradient,
     central_hessian,
+    duplication,
     fd_kl_hessian,
     fim,
     fim_inverse,
+    kron,
+    matf,
     reduce_to_unique,
     shrink_until_pd,
+    sym,
+    vec,
+    vech,
 )
 from .gaussian import MeanCovariance, MeanPrecision, cov_of, prec_of
-from .kronmat import duplication, half_len, kron, matf, sym, vec, vech
+from .kronmat import half_len
 from .ngd import NgdConfig, step_hybrid
 from .quadrature import ExpectationRule, default_rule, expect_weighted, pointwise
 from .vloss import DerivativeBundle, LossFunctional, value, value_and_derivatives

@@ -10,13 +10,16 @@ from ngvi.fim import (
     _eta_fim_closed,
     _from_coords,
     coord_dim,
+    duplication,
     fd_kl_hessian,
     fim,
     fim_inverse,
+    kron,
     reduce_to_unique,
+    vec,
 )
 from ngvi.gaussian import MeanCovariance, MeanPrecision, NotPositiveDefiniteError, cov_of, prec_of
-from ngvi.kronmat import duplication, half_len, kron, vec
+from ngvi.kronmat import half_len
 
 
 def test_coord_dim():

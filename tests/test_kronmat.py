@@ -1,22 +1,17 @@
-"""Vectorization, Kronecker, and duplication-matrix algebra."""
+"""Symmetric-matrix storage, the integer rule of the API's integer
+fields, and the vectorization, Kronecker and duplication-matrix algebra."""
+
+import re
 
 import numpy as np
 import pytest
 
 from ngvi._testing import random_spd, random_symmetric, random_well_conditioned
-from ngvi.kronmat import (
-    AsymmetricMatrixError,
-    DimensionError,
-    SymmetricMatrix,
-    duplication,
-    half_len,
-    kron,
-    mat,
-    matf,
-    sym,
-    vec,
-    vech,
-)
+from ngvi.factors import Factor, FactorGraph
+from ngvi.fim import duplication, kron, mat, matf, sym, vec, vech
+from ngvi.kronmat import AsymmetricMatrixError, DimensionError, SymmetricMatrix, half_len
+from ngvi.ngd import NgdConfig
+from ngvi.quadrature import ExpectationRule
 
 
 def test_half_len():
@@ -237,3 +232,55 @@ def test_spd_roundtrip_through_half_vector():
     a = random_spd(4, rng)
     s = SymmetricMatrix.from_full(a)
     assert np.allclose(s.full(), a, atol=1e-15)
+
+
+def _phi(u):
+    return np.zeros(u.shape[0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Factor("f", (1.7, 0.2), _phi), "factor 'f' variable indices must be integers, found (1.7, 0.2)"),
+        (lambda: Factor("f", ("1",), _phi), "factor 'f' variable indices must be integers, found ('1',)"),
+        (lambda: Factor("f", (True,), _phi), "factor 'f' variable indices must be integers, found (True,)"),
+        (lambda: Factor("f", (np.float64(1.0),), _phi), "factor 'f' variable indices must be integers"),
+        (lambda: FactorGraph(2.5, (Factor("f", (0,), _phi),)), "graph dimension must be an integer, found 2.5"),
+        (lambda: ExpectationRule("gauss_hermite", 5.5), "rule order must be an integer, found 5.5"),
+        (lambda: ExpectationRule("gauss_hermite", True), "rule order must be an integer, found True"),
+        (lambda: ExpectationRule("monte_carlo", 10, seed=1.5), "rule seed must be an integer, found 1.5"),
+        (lambda: ExpectationRule("monte_carlo", 10, seed=np.True_), "rule seed must be an integer, found"),
+        (lambda: NgdConfig(max_iters=2.5), "max_iters must be an integer, found 2.5"),
+        (lambda: SymmetricMatrix(1.5, [1.0]), "dimension must be an integer, found 1.5"),
+    ],
+    ids=[
+        "float-indices",
+        "string-index",
+        "bool-index",
+        "numpy-float-index",
+        "float-graph-dimension",
+        "float-order",
+        "bool-order",
+        "float-seed",
+        "numpy-bool-seed",
+        "float-max-iters",
+        "float-matrix-dimension",
+    ],
+)
+def test_integer_fields_refuse_non_integers(build, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
+
+
+def test_integer_fields_take_numpy_integers_as_int():
+    three = np.int64(3)
+    records = (
+        Factor("f", (np.int64(0), three), _phi).indices,
+        FactorGraph(three, ()).dim,
+        ExpectationRule("monte_carlo", three, seed=three).order,
+        ExpectationRule("monte_carlo", three, seed=three).seed,
+        NgdConfig(max_iters=three).max_iters,
+        SymmetricMatrix(np.int64(1), [1.0]).dim,
+    )
+    assert records == ((0, 3), 3, 3, 3, 3, 1)
+    assert all(type(v) is int for v in records[0] + records[1:])

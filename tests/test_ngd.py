@@ -7,9 +7,8 @@ from ngvi import factors
 from ngvi._testing import random_gaussian, random_spd, random_symmetric
 from ngvi.cli import load_problem, main
 from ngvi.factors import SparsityError, optimize_factored
-from ngvi.fim import fim_inverse
+from ngvi.fim import duplication, fim_inverse, matf, vec
 from ngvi.gaussian import MeanCovariance, MeanPrecision, convert
-from ngvi.kronmat import duplication, matf, vec
 from ngvi.ngd import (
     ConfigError,
     IndefiniteHessianError,
